@@ -20,9 +20,7 @@ from repro.scenario import (
     Scenario,
     ScenarioConfig,
     build_scenario,
-    config_for_scale,
     default_scenario,
-    evaluation_config,
     small_scenario,
     tiny_scenario,
 )
@@ -36,9 +34,7 @@ __all__ = [
     "Scenario",
     "ScenarioConfig",
     "build_scenario",
-    "config_for_scale",
     "default_scenario",
-    "evaluation_config",
     "run_experiment",
     "small_scenario",
     "tiny_scenario",

@@ -2,7 +2,7 @@
 
 The single batch-evaluation signature every policy implements:
 
-    evaluate_sessions(world, sessions, *, session_ids=None, columns=None)
+    evaluate_sessions(world, sessions, *, session_ids=None)
 
 ``world`` is the matrix read surface — dense
 :class:`~repro.measurement.matrix.DelegateMatrices` or the streamed
@@ -120,7 +120,6 @@ class RelayPolicy(Protocol):
         sessions: Sequence,
         *,
         session_ids: Optional[Sequence[int]] = None,
-        columns=None,
     ) -> List[MethodResult]:
         """One result per session of the batch."""
         ...
@@ -132,10 +131,6 @@ class RelayMethod(ABC):
     The batch :meth:`evaluate_sessions` is the abstract primitive —
     subclasses implement it (vectorized where possible); the per-session
     :meth:`evaluate_session` is a thin delegating wrapper over it.
-
-    The ``columns`` keyword is reserved for callers that pre-assembled
-    destination columns; the shipped views manage column caching (memo
-    LRU or spill store) internally, so methods may ignore it.
     """
 
     name: str = "abstract"
@@ -163,7 +158,6 @@ class RelayMethod(ABC):
         sessions: Sequence,
         *,
         session_ids: Optional[Sequence[int]] = None,
-        columns=None,
     ) -> List[MethodResult]:
         """Evaluate a batch of sessions, one result per session."""
 
@@ -173,27 +167,6 @@ class RelayMethod(ABC):
         a = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
         b = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
         return a, b
-
-    def _score_probes(
-        self, world, a: int, b: int, relay_clusters: Sequence[int]
-    ) -> Tuple[int, Optional[float]]:
-        """Count quality relay paths / best RTT over probed relay nodes.
-
-        Each probed node lives in some cluster; its relay-path RTT is the
-        cluster-granularity estimate plus the relay delay.
-        """
-        if len(relay_clusters) == 0:
-            return 0, None
-        relays = np.asarray(relay_clusters, dtype=int)
-        path = (
-            world.gather_rtt(a, relays)
-            + world.gather_rtt(relays, b)
-            + self._config.relay_delay_rtt_ms
-        )
-        finite = np.isfinite(path)
-        quality = int(np.sum(finite & (path < self._config.lat_threshold_ms)))
-        best = float(np.min(path[finite])) if np.any(finite) else None
-        return quality, best
 
     def _session_rng(self, session_id: int) -> np.random.Generator:
         return derive_rng(self._config.seed, self.name, str(session_id))

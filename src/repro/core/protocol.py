@@ -27,7 +27,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.bootstrap import Bootstrap
-from repro.core.close_cluster import CloseClusterSet, construct_close_cluster_set
+from repro.core.close_cluster import CloseClusterSet
 from repro.core.config import ASAPConfig
 from repro.core.endhost import EndHost
 from repro.core.relay_selection import RelaySelection, select_close_relay
@@ -79,14 +79,11 @@ class ASAPSystem:
     """A running ASAP deployment over one scenario."""
 
     def __init__(self, scenario: Scenario, config: Optional[ASAPConfig] = None) -> None:
-        from repro.worldarrays import flat_enabled
-
         self._scenario = scenario
         self._config = config = config if config is not None else ASAPConfig()
         self._view = scenario.matrix_view()
         self._clusters = scenario.clusters
-        self._flat_builder = None
-        self._use_flat_close_sets = flat_enabled()
+        self._builder = None
         graph = scenario.protocol_graph
 
         # Cluster bookkeeping at matrix-index granularity.
@@ -122,28 +119,28 @@ class ASAPSystem:
         self.sessions_run = 0
         self._init_close_sets()
 
-    def _flat_close_set_builder(self, own_cluster: int, own_as: int):
-        """Surrogate fast-builder hook: the flat-array close-set path.
+    def _build_close_set(self, own_cluster: int, own_as: int) -> CloseClusterSet:
+        """Every surrogate's ``build``: the flat-array close-set path.
 
-        The vectorized builder (CSR graph export + probe arrays) is
-        created on first use and shared by every surrogate of this
-        system; its results are bit-identical to the reference
-        construction (parity-tested), so surrogates cache them exactly
-        as they would the reference's.
+        ``build`` is looked up on the builder at each call, so a wrapper
+        installed on :class:`~repro.worldarrays.FlatCloseSetBuilder`
+        after this system was built still sees every build.
         """
-        return self._flat_builder_instance().build(own_cluster, own_as)
+        return self._close_set_builder().build(own_cluster, own_as)
 
-    def _flat_builder_instance(self):
-        if self._flat_builder is None:
+    def _close_set_builder(self):
+        """The vectorized builder (CSR graph export + probe arrays),
+        created on first use and shared by every surrogate."""
+        if self._builder is None:
             from repro.worldarrays import FlatCloseSetBuilder
 
-            self._flat_builder = FlatCloseSetBuilder(
+            self._builder = FlatCloseSetBuilder(
                 self._scenario.protocol_graph,
                 self._view,
                 self._clusters_by_as,
                 self._config,
             )
-        return self._flat_builder
+        return self._builder
 
     # -- wiring ---------------------------------------------------------------
 
@@ -172,14 +169,7 @@ class ASAPSystem:
                 cluster=idx,
                 asn=cluster.asn,
                 host=ranked[position],
-                graph=self._scenario.protocol_graph,
-                clusters_in_as=self.clusters_in_as,
-                lat=self._probe_lat,
-                loss=self._probe_loss,
-                config=self._config,
-                fast_builder=(
-                    self._flat_close_set_builder if self._use_flat_close_sets else None
-                ),
+                build=self._build_close_set,
             )
             if group:
                 member.close_set_source = group[0]
@@ -406,10 +396,9 @@ class ASAPSystem:
         self, pending: List[int], count: int
     ) -> Dict[int, CloseClusterSet]:
         if count > 1 and len(pending) > 1 and fork_available():
-            if self._use_flat_close_sets:
-                # Materialize the CSR export once pre-fork so every pool
-                # child inherits it copy-on-write instead of rebuilding it.
-                self._flat_builder_instance()
+            # Materialize the CSR export once pre-fork so every pool
+            # child inherits it copy-on-write instead of rebuilding it.
+            self._close_set_builder()
             global _PREBUILD_SYSTEM
             _PREBUILD_SYSTEM = self
             try:
@@ -499,17 +488,5 @@ def _build_close_set_chunk(indices: List[int]):
     out = []
     for idx in indices:
         primary = system._surrogates[idx][0]
-        if primary.fast_builder is not None:
-            built = primary.fast_builder(idx, primary.asn)
-        else:
-            built = construct_close_cluster_set(
-                own_cluster=idx,
-                own_as=primary.asn,
-                graph=primary.graph,
-                clusters_in_as=system.clusters_in_as,
-                lat=system._probe_lat,
-                loss=system._probe_loss,
-                config=system._config,
-            )
-        out.append((idx, built))
+        out.append((idx, primary.build(idx, primary.asn)))
     return out

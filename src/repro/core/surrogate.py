@@ -1,25 +1,19 @@
 """Cluster surrogate nodes (paper Section 6.1).
 
 A surrogate is the most capable online host of its prefix cluster.  It
-builds the cluster's close cluster set over the AS graph, answers close
-cluster set requests from cluster members and remote callers, collects
-nodal information from its cluster, and recommends a hand-off when a
+builds the cluster's close cluster set over the AS graph (through the
+``build`` callable its system supplies), answers close cluster set
+requests from cluster members and remote callers, collects nodal
+information from its cluster, and recommends a hand-off when a
 better-provisioned host appears.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
-from repro.core.close_cluster import (
-    CloseClusterSet,
-    LatencyProbe,
-    LossProbe,
-    construct_close_cluster_set,
-)
-from repro.core.config import ASAPConfig
-from repro.bgp.asgraph import ASGraph
+from repro.core.close_cluster import CloseClusterSet
 from repro.netaddr import IPv4Address
 from repro.topology.population import Host, NodalInfo
 
@@ -31,22 +25,14 @@ class Surrogate:
     cluster: int                 # matrix index of the cluster
     asn: int
     host: Host
-    graph: ASGraph
-    clusters_in_as: Callable[[int], List[int]]
-    lat: LatencyProbe
-    loss: LossProbe
-    config: ASAPConfig = field(default_factory=ASAPConfig)
+    # Builds the close set of ``(cluster, asn)`` over the AS graph; must
+    # return exactly what ``construct_close_cluster_set`` would.
+    build: Callable[[int, int], CloseClusterSet] = field(repr=False)
     close_set_requests: int = 0
     published_info: Dict[IPv4Address, NodalInfo] = field(default_factory=dict)
     # §6.3 load sharing: replica surrogates of a large cluster serve the
     # primary's close set instead of re-probing the network themselves.
     close_set_source: Optional["Surrogate"] = field(default=None, repr=False)
-    # Optional accelerated builder (the flat-array path): called as
-    # ``fast_builder(cluster, asn)`` and required to return exactly what
-    # ``construct_close_cluster_set`` would — parity tests enforce it.
-    fast_builder: Optional[Callable[[int, int], CloseClusterSet]] = field(
-        default=None, repr=False
-    )
     _close_set: Optional[CloseClusterSet] = field(default=None, repr=False)
 
     @property
@@ -58,18 +44,7 @@ class Surrogate:
         if self.close_set_source is not None:
             return self.close_set_source.close_set()
         if self._close_set is None:
-            if self.fast_builder is not None:
-                self._close_set = self.fast_builder(self.cluster, self.asn)
-            else:
-                self._close_set = construct_close_cluster_set(
-                    own_cluster=self.cluster,
-                    own_as=self.asn,
-                    graph=self.graph,
-                    clusters_in_as=self.clusters_in_as,
-                    lat=self.lat,
-                    loss=self.loss,
-                    config=self.config,
-                )
+            self._close_set = self.build(self.cluster, self.asn)
         return self._close_set
 
     def serve_close_set(self) -> CloseClusterSet:

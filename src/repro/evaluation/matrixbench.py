@@ -9,8 +9,8 @@ them once through :meth:`repro.worldarrays.WorldArrays.from_arrays`,
 then fills a sample of destination columns through both assembly
 methods:
 
-- ``object`` — the scalar reference (`_fill_destinations`), a python
-  row loop per column;
+- ``object`` — the scalar reference
+  (:mod:`repro.measurement.reference`), a python row loop per column;
 - ``flat`` — :class:`repro.worldarrays.FlatMatrixAssembler`, vectorized
   per-destination-AS broadcasts.
 
@@ -44,7 +44,7 @@ import numpy as np
 from repro.errors import EvaluationError
 from repro.measurement.conditions import ConditionsConfig, generate_conditions
 from repro.measurement.latency import LatencyModel
-from repro.measurement.matrix import _fill_destinations
+from repro.measurement.reference import _fill_destinations, source_tables
 from repro.topology.generator import TopologyConfig, generate_topology
 from repro.util.parallel import (
     fork_available,
@@ -97,14 +97,6 @@ def _sample_columns(cluster_count: int, sample: int, seed: int) -> List[int]:
     sample = min(sample, cluster_count)
     picks = rng.choice(cluster_count, size=sample, replace=False)
     return [int(c) for c in np.sort(picks)]
-
-
-def _object_state(cluster_asns: np.ndarray):
-    unique_ases = sorted(set(int(a) for a in cluster_asns))
-    rows_of_as: Dict[int, List[int]] = {}
-    for i, asn in enumerate(cluster_asns):
-        rows_of_as.setdefault(int(asn), []).append(i)
-    return unique_ases, rows_of_as
 
 
 #: Fork-inherited state for the parallel column-fill workers.
@@ -207,7 +199,7 @@ def bench_tier(
 
     world = WorldArrays.from_arrays(model, cluster_asns, access_ms, sizes)
     assembler = FlatMatrixAssembler(model, world)
-    unique_ases, rows_of_as = _object_state(cluster_asns)
+    unique_ases, rows_of_as = source_tables(cluster_asns)
 
     def blank():
         return (

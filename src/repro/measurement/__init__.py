@@ -10,7 +10,10 @@ AS paths with traceroute.  Here the same roles are played by:
 - :mod:`repro.measurement.tools` — simulated ``ping``, ``traceroute`` and
   ``King`` (noise + non-response, like real recursive-DNS probing);
 - :mod:`repro.measurement.matrix` — the all-pairs cluster-delegate RTT /
-  loss / AS-hop matrices that drive every experiment.
+  loss / AS-hop matrices that drive every experiment;
+- :mod:`repro.measurement.reference` — the scalar object-path assembly
+  of the same matrices, kept as the oracle the parity tests and
+  ``matrixbench`` compare against.
 """
 
 from repro.measurement.conditions import ConditionsConfig, NetworkConditions, generate_conditions

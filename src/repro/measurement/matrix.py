@@ -7,16 +7,12 @@ is computed against these matrices, exactly as the paper's trace-driven
 simulation replays its King measurements.
 
 The computation exploits the policy-routing trees: for each destination
-cluster's AS we walk every source AS's next-hop chain once with
-memoization, so the full N×N matrix costs O(N·V) instead of O(N²·path).
-
-Two interchangeable assembly methods produce bit-identical matrices:
-
-- ``object`` — the scalar reference: python memo walks per tree and a
-  per-row loop per column;
-- ``flat`` (default; ``REPRO_FLAT_WORLD=0`` switches back) — the world
-  exported once into contiguous arrays (:mod:`repro.worldarrays`) and
-  filled with vectorized per-destination-AS broadcasts.
+cluster's AS every source AS's next-hop chain is resolved once, so the
+full N×N matrix costs O(N·V) instead of O(N²·path).  The world is
+exported once into contiguous arrays (:mod:`repro.worldarrays`) and
+filled with vectorized per-destination-AS broadcasts; the scalar object
+walk it replaces lives on as the test oracle in
+:mod:`repro.measurement.reference`.
 
 Destination columns are mutually independent, so assembly optionally
 fans out over a fork-start process pool (``workers > 1``): columns are
@@ -24,7 +20,7 @@ grouped by destination AS (one tree resolution per AS total), chunks
 are cost-balanced via :func:`repro.util.parallel.plan_chunks`, and
 workers write their columns straight into fork-inherited shared-memory
 arrays — no result pickling.  Output is bit-for-bit identical to the
-serial path of the same method.
+serial path.
 """
 
 from __future__ import annotations
@@ -51,17 +47,11 @@ from repro.util.rng import derive_rng
 
 UNREACHABLE = np.inf
 
-#: Assembly statistics of the most recent parallel run (chunk plan and
-#: per-chunk wall times).  Private: read it through the obs registry
-#: (``obs.annotations["parallel"]`` / the manifest ``parallel`` block)
-#: or :func:`last_parallel_stats`; the old module-global name
-#: ``LAST_PARALLEL_STATS`` is a deprecated alias served by
-#: ``__getattr__`` below.
-_LAST_PARALLEL_STATS: Optional[Dict] = None
-
-#: Every parallel assembly this process ran, in order.  Repeated
-#: assemblies used to overwrite each other's stats; the history keeps
-#: all of them addressable (each dict carries its ``assembly`` index).
+#: Every parallel assembly this process ran, in order (chunk plan and
+#: per-chunk wall times; each dict carries its ``assembly`` index).
+#: Private: read it through the obs registry (``obs.annotations
+#: ["parallel"]`` / the manifest ``parallel`` block),
+#: :func:`last_parallel_stats` or :func:`parallel_stats_history`.
 _PARALLEL_STATS_HISTORY: List[Dict] = []
 
 
@@ -70,7 +60,7 @@ def last_parallel_stats() -> Optional[Dict]:
     assembly in this process (``None`` if none ran).  Runs with
     observability enabled also record the same document in the run
     manifest's ``parallel`` block."""
-    return _LAST_PARALLEL_STATS
+    return _PARALLEL_STATS_HISTORY[-1] if _PARALLEL_STATS_HISTORY else None
 
 
 def parallel_stats_history() -> List[Dict]:
@@ -80,22 +70,6 @@ def parallel_stats_history() -> List[Dict]:
     survives repeated assemblies in one process — each entry carries an
     ``assembly`` sequence number matching its telemetry tags."""
     return list(_PARALLEL_STATS_HISTORY)
-
-
-def __getattr__(name: str):
-    if name == "LAST_PARALLEL_STATS":
-        import warnings
-
-        warnings.warn(
-            "matrix.LAST_PARALLEL_STATS is deprecated (a mutable module "
-            "global that leaks across runs and forks); use "
-            "matrix.last_parallel_stats() or the run manifest's "
-            "'parallel' block instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _LAST_PARALLEL_STATS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -210,22 +184,10 @@ def cluster_headers(cluster_list: Sequence[Cluster]):
     return prefixes, index_of, asn_of, sizes, access
 
 
-def _resolve_method(method: Optional[str]) -> str:
-    """Resolve the assembly method (None → the REPRO_FLAT_WORLD default)."""
-    from repro.worldarrays import flat_enabled
-
-    if method is None:
-        return "flat" if flat_enabled() else "object"
-    if method not in ("flat", "object"):
-        raise MeasurementError(f"unknown assembly method {method!r}")
-    return method
-
-
 def compute_delegate_matrices(
     model: LatencyModel,
     clusters: ClusterIndex,
     workers: Optional[int] = None,
-    method: Optional[str] = None,
 ) -> DelegateMatrices:
     """Compute RTT / loss / hop matrices between all cluster delegates.
 
@@ -233,9 +195,7 @@ def compute_delegate_matrices(
     (or ``None`` without ``$REPRO_WORKERS``) runs serially, ``<= 0``
     uses all CPUs, and any higher count chunks the destination columns
     across a fork-start process pool writing into shared memory.
-    ``method`` picks ``"flat"`` (vectorized, the default) or
-    ``"object"`` (the scalar reference).  Output is identical
-    bit-for-bit regardless of worker count and method.
+    Output is identical bit-for-bit regardless of worker count.
     """
     from repro import obs
 
@@ -246,7 +206,6 @@ def compute_delegate_matrices(
     obs.gauge("matrix.clusters").set(n)
     prefixes, index_of, asn_of, sizes, access = cluster_headers(cluster_list)
 
-    use_flat = _resolve_method(method) == "flat"
     worker_count = resolve_workers(workers)
     parallel = worker_count > 1 and n > 1 and fork_available()
 
@@ -261,51 +220,30 @@ def compute_delegate_matrices(
         loss = np.full((n, n), 1.0, dtype=float)
         hops = np.full((n, n), -1, dtype=np.int64)
 
-    unique_ases = sorted(set(int(a) for a in asn_of))
-    rows_of_as: Dict[int, List[int]] = {}
-    for i, asn in enumerate(asn_of):
-        rows_of_as.setdefault(int(asn), []).append(i)
-
     with obs.span("matrix.assemble", clusters=n, workers=worker_count):
-        if parallel:
-            if use_flat:
-                from repro.worldarrays import FlatMatrixAssembler, WorldArrays
+        from repro.worldarrays import FlatMatrixAssembler, WorldArrays
 
-                assembler = FlatMatrixAssembler(
-                    model, WorldArrays.from_clusters(model, cluster_list)
-                )
-                state = ("flat", assembler, rtt, loss, hops)
-            else:
-                state = (
-                    "object",
-                    model,
-                    unique_ases,
-                    rows_of_as,
-                    access,
-                    asn_of,
-                    rtt,
-                    loss,
-                    hops,
-                )
+        assembler = FlatMatrixAssembler(
+            model, WorldArrays.from_clusters(model, cluster_list)
+        )
+        if parallel:
             chunks = _grouped_column_chunks(
                 asn_of, worker_count * 4, tree_cost=float(len(model.router.graph))
             )
             global _ASSEMBLY_STATE
-            _ASSEMBLY_STATE = state
+            _ASSEMBLY_STATE = (assembler, rtt, loss, hops)
             try:
                 timings = run_forked(
                     _fill_shared_chunk, chunks, processes=worker_count
                 )
             finally:
                 _ASSEMBLY_STATE = None
-            global _LAST_PARALLEL_STATS
             stats = {
                 "assembly": len(_PARALLEL_STATS_HISTORY),
                 "chunk_sizes": [len(c) for c in chunks],
                 "chunk_seconds": [seconds for _, seconds in timings],
                 "workers": worker_count,
             }
-            _LAST_PARALLEL_STATS = stats
             _PARALLEL_STATS_HISTORY.append(stats)
             # The durable record: the obs registry (and hence the run
             # manifest's ``parallel`` block) rather than a module global.
@@ -328,28 +266,12 @@ def compute_delegate_matrices(
                         assembly=str(stats["assembly"]),
                         chunk=str(index),
                     )
-        elif use_flat:
-            from repro.worldarrays import FlatMatrixAssembler, WorldArrays
-
-            assembler = FlatMatrixAssembler(
-                model, WorldArrays.from_clusters(model, cluster_list)
-            )
+        else:
             assembler.fill_columns(
                 list(range(n)), rtt, loss, hops, positions=list(range(n))
             )
-        else:
-            _fill_destinations(
-                range(n), model, unique_ases, rows_of_as, access, asn_of, rtt, loss, hops
-            )
 
-    # Diagonal / same-cluster entries: intra-cluster latency only.
-    for i in range(n):
-        asn = int(asn_of[i])
-        intra = 2.0 * model.endpoint_cost_ms(asn) + 4.0 * access[i]
-        rtt[i, i] = intra
-        loss[i, i] = model.conditions.loss_of(asn)
-        hops[i, i] = 0
-
+    fill_diagonal(model, asn_of, access, rtt, loss, hops)
     return DelegateMatrices(
         prefixes=prefixes,
         index_of=index_of,
@@ -361,45 +283,21 @@ def compute_delegate_matrices(
     )
 
 
-def _fill_destinations(
-    columns: Sequence[int],
+def fill_diagonal(
     model: LatencyModel,
-    unique_ases: List[int],
-    rows_of_as: Dict[int, List[int]],
-    access: np.ndarray,
     asn_of: np.ndarray,
+    access: np.ndarray,
     rtt: np.ndarray,
     loss: np.ndarray,
     hops: np.ndarray,
-    positions: Optional[Sequence[int]] = None,
 ) -> None:
-    """Fill the given destination columns of the matrices (object path).
-
-    ``positions`` are the output column positions matching ``columns``
-    (defaults to enumeration order); the shared-memory workers pass the
-    global indices so they write the full matrices in place.  The serial
-    path and every pool worker run exactly this routine, which is what
-    makes parallel assembly bit-for-bit reproducible.
-    """
-    from repro import obs
-
-    obs.counter("matrix.columns").inc(len(columns))
-    if positions is None:
-        positions = range(len(columns))
-    for col, j in zip(positions, columns):
-        dest_as = int(asn_of[j])
-        tree = model.routing_tree(dest_as)
-        if tree is None:
-            continue
-        lat_to, loss_to, hops_to = _walk_tree(model, tree, unique_ases)
-        for src_as in unique_ases:
-            one_way = lat_to.get(src_as)
-            if one_way is None:
-                continue
-            for i in rows_of_as[src_as]:
-                rtt[i, col] = 2.0 * one_way + 2.0 * (access[i] + access[j])
-                loss[i, col] = loss_to[src_as]
-                hops[i, col] = hops_to[src_as]
+    """Diagonal / same-cluster entries: intra-cluster latency only."""
+    for i in range(len(asn_of)):
+        asn = int(asn_of[i])
+        intra = 2.0 * model.endpoint_cost_ms(asn) + 4.0 * access[i]
+        rtt[i, i] = intra
+        loss[i, i] = model.conditions.loss_of(asn)
+        hops[i, i] = 0
 
 
 def _grouped_column_chunks(
@@ -432,72 +330,10 @@ def _fill_shared_chunk(columns: List[int]) -> Tuple[int, float]:
     travel through the fork-inherited shared mapping, not the pickle
     channel.
     """
-    state = _ASSEMBLY_STATE
+    assembler, rtt, loss, hops = _ASSEMBLY_STATE
     started = time.perf_counter()
-    if state[0] == "flat":
-        _, assembler, rtt, loss, hops = state
-        assembler.fill_columns(columns, rtt, loss, hops, positions=columns)
-    else:
-        _, model, unique_ases, rows_of_as, access, asn_of, rtt, loss, hops = state
-        _fill_destinations(
-            columns,
-            model,
-            unique_ases,
-            rows_of_as,
-            access,
-            asn_of,
-            rtt,
-            loss,
-            hops,
-            positions=columns,
-        )
+    assembler.fill_columns(columns, rtt, loss, hops, positions=columns)
     return len(columns), time.perf_counter() - started
-
-
-def _walk_tree(model: LatencyModel, tree, source_ases: List[int]):
-    """Memoized walk of a routing tree: per-AS one-way latency / loss / hops.
-
-    The memo stores *interior* path cost (links plus transit node costs,
-    excluding both endpoints); endpoint processing is added per source so
-    the result matches :meth:`LatencyModel.path_one_way_ms` exactly.
-    """
-    dest = tree.destination
-    interior: Dict[int, float] = {dest: 0.0}
-    survive: Dict[int, float] = {dest: 1.0 - model.conditions.loss_of(dest)}
-    hops: Dict[int, int] = {dest: 0}
-
-    def resolve(asn: int) -> bool:
-        """Fill memo entries along the next-hop chain from ``asn``."""
-        chain: List[int] = []
-        node = asn
-        while node not in interior:
-            if not tree.reaches(node):
-                return False
-            chain.append(node)
-            node = tree.next_hop[node]
-        for source in reversed(chain):
-            nh = tree.next_hop[source]
-            transit = model.node_cost_ms(nh) if nh != dest else 0.0
-            interior[source] = model.link_delay_ms(source, nh) + transit + interior[nh]
-            survive[source] = (1.0 - model.conditions.loss_of(source)) * survive[nh]
-            hops[source] = hops[nh] + 1
-        return True
-
-    lat_out: Dict[int, float] = {}
-    loss_out: Dict[int, float] = {}
-    hops_out: Dict[int, int] = {}
-    dest_endpoint = model.endpoint_cost_ms(dest)
-    for asn in source_ases:
-        if asn in interior or resolve(asn):
-            if asn == dest:
-                lat_out[asn] = model.endpoint_cost_ms(asn)
-            else:
-                lat_out[asn] = (
-                    model.endpoint_cost_ms(asn) + interior[asn] + dest_endpoint
-                )
-            loss_out[asn] = 1.0 - survive[asn]
-            hops_out[asn] = hops[asn]
-    return lat_out, loss_out, hops_out
 
 
 def apply_king_noise(

@@ -121,12 +121,8 @@ _FLAGS = frozenset((ONEWAY, REQUEST, RESPONSE, ERROR))
 
 # -- primitive field kinds ----------------------------------------------------
 
-_U8 = struct.Struct("!B")
 _U16 = struct.Struct("!H")
 _U32 = struct.Struct("!I")
-_U64 = struct.Struct("!Q")
-_I32 = struct.Struct("!i")
-_F64 = struct.Struct("!d")
 _PAIR = struct.Struct("!Id")
 
 
@@ -136,7 +132,7 @@ def _need(data: bytes, offset: int, count: int, what: str) -> None:
 
 
 class _Kind:
-    """One primitive wire kind: pack into a buffer / unpack at an offset."""
+    """One variable-length wire kind: pack into a buffer / unpack at an offset."""
 
     __slots__ = ("name", "pack", "unpack")
 
@@ -146,35 +142,9 @@ class _Kind:
         self.unpack = unpack    # (data, offset) -> (value, new_offset)
 
 
-def _fixed_kind(name: str, fmt: struct.Struct, check=None) -> _Kind:
-    def pack(out: List[bytes], value) -> None:
-        if check is not None:
-            check(value)
-        try:
-            out.append(fmt.pack(value))
-        except (struct.error, TypeError) as exc:
-            raise CodecError(f"cannot pack {name} value {value!r}") from exc
-
-    def unpack(data: bytes, offset: int):
-        _need(data, offset, fmt.size, name)
-        return fmt.unpack_from(data, offset)[0], offset + fmt.size
-
-    return _Kind(name, pack, unpack)
-
-
 def _check_ip(value) -> None:
     if not isinstance(value, IPv4Address):
         raise CodecError(f"ip field needs an IPv4Address, got {type(value).__name__}")
-
-
-def _pack_ip(out: List[bytes], value) -> None:
-    _check_ip(value)
-    out.append(_U32.pack(value.value))
-
-
-def _unpack_ip(data: bytes, offset: int):
-    _need(data, offset, 4, "ip")
-    return IPv4Address(_U32.unpack_from(data, offset)[0]), offset + 4
 
 
 def _pack_str(out: List[bytes], value) -> None:
@@ -269,14 +239,8 @@ _CHECK_U16 = _check_unsigned(16)
 _CHECK_U32 = _check_unsigned(32)
 _CHECK_U64 = _check_unsigned(64)
 
+#: Variable-length kinds, each with its own codec.
 KINDS: Dict[str, _Kind] = {
-    "u8": _fixed_kind("u8", _U8, _CHECK_U8),
-    "u16": _fixed_kind("u16", _U16, _CHECK_U16),
-    "u32": _fixed_kind("u32", _U32, _CHECK_U32),
-    "u64": _fixed_kind("u64", _U64, _CHECK_U64),
-    "i32": _fixed_kind("i32", _I32, _check_i32),
-    "f64": _fixed_kind("f64", _F64, _check_f64),
-    "ip": _Kind("ip", _pack_ip, _unpack_ip),
     "str": _Kind("str", _pack_str, _unpack_str),
     "bytes": _Kind("bytes", _pack_bytes, _unpack_bytes),
     "pairs": _Kind("pairs", _pack_pairs, _unpack_pairs),
@@ -326,13 +290,13 @@ def _compile_segments(fields: Tuple[Tuple[str, str], ...]):
         run.clear()
 
     for name, kind in fields:
-        if kind not in KINDS:
-            raise ValueError(f"unknown wire kind {kind!r} for field {name!r}")
         if kind in _FIXED_SEGMENT_KINDS:
             run.append((name, kind))
-        else:
+        elif kind in KINDS:
             flush()
             segments.append(("var", name, KINDS[kind]))
+        else:
+            raise ValueError(f"unknown wire kind {kind!r} for field {name!r}")
     flush()
     return tuple(segments)
 
@@ -500,57 +464,14 @@ MESSAGE_TYPES: Dict[int, type] = {}
 class Message:
     """Base for wire messages; subclasses declare ``TYPE`` and ``FIELDS``.
 
-    The payload hot path runs over the class's compiled segment plan
-    (:func:`_compile_segments`): every run of fixed-width fields is one
-    combined struct call.  Per-field value checks still run before each
-    combined pack, so the error contract of the per-kind reference path
-    is preserved exactly.
+    ``_register`` compiles each class's ``pack_payload`` /
+    ``unpack_payload`` from its segment plan (:func:`_compile_segments`):
+    every run of fixed-width fields is one combined struct call, with
+    the per-field value checks run before each combined pack.
     """
 
     TYPE: int = -1
     FIELDS: Tuple[Tuple[str, str], ...] = ()
-
-    @classmethod
-    def _segments(cls):
-        """The compiled segment plan (built once per class, cached)."""
-        plan = cls.__dict__.get("_SEGMENT_PLAN")
-        if plan is None:
-            plan = _compile_segments(cls.FIELDS)
-            cls._SEGMENT_PLAN = plan
-        return plan
-
-    def pack_payload(self) -> bytes:
-        # Registered classes get a specialized override compiled by
-        # ``_register``; this generic fallback serves unregistered ones.
-        return _compile_pack(self._segments())(self)
-
-    @classmethod
-    def unpack_payload(cls, data) -> "Message":
-        """Decode a payload (``bytes`` or ``memoryview`` — zero-copy)."""
-        try:
-            plan = cls._SEGMENT_PLAN
-        except AttributeError:
-            plan = cls._segments()
-        offset = 0
-        values = {}
-        for segment in plan:
-            if segment[0] == "fixed":
-                _, fmt, names, checks, ip_positions = segment
-                _need(data, offset, fmt.size, f"{cls.__name__} fixed fields")
-                unpacked = fmt.unpack_from(data, offset)
-                for name, value in zip(names, unpacked):
-                    values[name] = value
-                for position in ip_positions:
-                    values[names[position]] = IPv4Address(unpacked[position])
-                offset += fmt.size
-            else:
-                _, name, kind = segment
-                values[name], offset = kind.unpack(data, offset)
-        if offset != len(data):
-            raise CodecError(
-                f"{cls.__name__} payload has {len(data) - offset} trailing bytes"
-            )
-        return cls(**values)
 
 
 def _register(cls):
@@ -563,9 +484,9 @@ def _register(cls):
         raise ValueError(
             f"{cls.__name__}: dataclass fields {declared} != wire schema {schema}"
         )
-    cls._SEGMENT_PLAN = _compile_segments(cls.FIELDS)
-    cls.pack_payload = _compile_pack(cls._SEGMENT_PLAN)
-    cls.unpack_payload = _compile_unpack(cls._SEGMENT_PLAN, cls)
+    plan = _compile_segments(cls.FIELDS)
+    cls.pack_payload = _compile_pack(plan)
+    cls.unpack_payload = _compile_unpack(plan, cls)
     MESSAGE_TYPES[cls.TYPE] = cls
     return cls
 

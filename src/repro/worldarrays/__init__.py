@@ -1,10 +1,9 @@
 """Flat, int-indexed world representation for the substrate hot paths.
 
 The object world (:class:`~repro.topology.clustering.ClusterIndex`,
-:class:`~repro.bgp.asgraph.ASGraph`, per-pair python walks) is the
-*reference* implementation everywhere; this package exports the same
-world once into contiguous numpy arrays and rewrites the two hottest
-computations against them:
+:class:`~repro.bgp.asgraph.ASGraph`, per-pair python walks) is exported
+once into contiguous numpy arrays, and the two hottest computations run
+against them:
 
 - :mod:`repro.worldarrays.matrixfill` — delegate-matrix assembly as
   vectorized per-destination column fills (the memoized next-hop chain
@@ -14,15 +13,14 @@ computations against them:
   as a vectorized valley-free BFS over int frontiers, with a batch API
   that builds the sets of many source clusters in one sweep.
 
-Both are guarded by parity tests: for identical seeds they produce
-**bit-identical** results to the object-path reference (same matrices,
-same close sets, same ``traces.jsonl``).  The flat path is the default;
-set ``REPRO_FLAT_WORLD=0`` to force the object reference everywhere.
+These are the only production paths.  Parity tests hold them
+**bit-identical** to the object references they replaced — the matrix
+walk in :mod:`repro.measurement.reference` and
+:func:`repro.core.close_cluster.construct_close_cluster_set` (same
+matrices, same close sets, same ``traces.jsonl``).
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.worldarrays.arrays import GraphCSR, WorldArrays, csr_gather
 from repro.worldarrays.closesets import FlatCloseSetBuilder
@@ -30,21 +28,10 @@ from repro.worldarrays.matrixfill import FlatMatrixAssembler
 from repro.worldarrays.virtual import VirtualMatrices
 
 __all__ = [
-    "FLAT_WORLD_ENV",
     "FlatCloseSetBuilder",
     "FlatMatrixAssembler",
     "GraphCSR",
     "VirtualMatrices",
     "WorldArrays",
     "csr_gather",
-    "flat_enabled",
 ]
-
-#: Environment switch for the flat-array substrate (default on; the
-#: object path remains the reference and is selected with ``0``).
-FLAT_WORLD_ENV = "REPRO_FLAT_WORLD"
-
-
-def flat_enabled() -> bool:
-    """Whether the flat-array hot paths are enabled (default: yes)."""
-    return os.environ.get(FLAT_WORLD_ENV, "1").strip() not in ("0", "no", "off")

@@ -1,6 +1,6 @@
 """Vectorized delegate-matrix assembly over :class:`WorldArrays`.
 
-The object reference (``repro.measurement.matrix._fill_destinations``)
+The object reference (``repro.measurement.reference._fill_destinations``)
 walks each destination's routing tree with a python memo and then runs a
 python loop over source rows per column.  This module computes the same
 numbers as array passes:

@@ -144,6 +144,19 @@ class TestCommands:
         assert "codec schema" in out
         assert "manifest schema" in out
 
+    def test_package_version_has_one_source(self):
+        # pyproject.toml must not pin its own version: the one that run
+        # manifests record is ``repro.__version__``.
+        from pathlib import Path
+
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        config = tomllib.loads(pyproject.read_text())
+        assert "version" not in config["project"]
+        assert "version" in config["project"]["dynamic"]
+        dynamic = config["tool"]["setuptools"]["dynamic"]
+        assert dynamic["version"] == {"attr": "repro.__version__"}
+
     def test_scalability(self, capsys):
         rc = main(["scalability", "--scale", "tiny", "--seed", "11",
                    "--sessions", "300", "--latent", "6"])

@@ -4,6 +4,7 @@ import pytest
 
 from repro.bgp import ASGraph, PrefixOriginTable
 from repro.core.bootstrap import Bootstrap
+from repro.core.close_cluster import construct_close_cluster_set
 from repro.core.config import ASAPConfig
 from repro.core.endhost import EndHost
 from repro.core.surrogate import Surrogate
@@ -70,15 +71,20 @@ class TestBootstrap:
 def make_surrogate(host=None):
     graph = ASGraph()
     graph.add_as(7)
+
+    def build(cluster, asn):
+        return construct_close_cluster_set(
+            own_cluster=cluster,
+            own_as=asn,
+            graph=graph,
+            clusters_in_as=lambda a: [0] if a == 7 else [],
+            lat=lambda a, b: 10.0,
+            loss=lambda a, b: 0.0,
+            config=ASAPConfig(k_hops=1),
+        )
+
     return Surrogate(
-        cluster=0,
-        asn=7,
-        host=host or make_host("10.0.0.5"),
-        graph=graph,
-        clusters_in_as=lambda asn: [0] if asn == 7 else [],
-        lat=lambda a, b: 10.0,
-        loss=lambda a, b: 0.0,
-        config=ASAPConfig(k_hops=1),
+        cluster=0, asn=7, host=host or make_host("10.0.0.5"), build=build
     )
 
 

@@ -185,16 +185,6 @@ class TestMatrixParallelParity:
         reference = tiny_scenario(seed=11)
         assert np.array_equal(world.matrices.rtt_ms, reference.matrices.rtt_ms)
 
-    def test_method_knob_selects_path(self, scenario):
-        flat = compute_delegate_matrices(
-            scenario.latency, scenario.clusters, method="flat"
-        )
-        obj = compute_delegate_matrices(
-            scenario.latency, scenario.clusters, method="object"
-        )
-        assert np.array_equal(flat.rtt_ms, obj.rtt_ms)
-        assert np.array_equal(flat.loss, obj.loss)
-
     def test_parallel_run_records_chunk_stats(self, scenario):
         from repro.measurement import matrix as matrix_module
 
@@ -205,14 +195,6 @@ class TestMatrixParallelParity:
         assert sum(stats["chunk_sizes"]) == scenario.matrices.count
         assert len(stats["chunk_seconds"]) == len(stats["chunk_sizes"])
         assert all(s >= 0.0 for s in stats["chunk_seconds"])
-
-    def test_deprecated_global_warns_but_still_answers(self, scenario):
-        from repro.measurement import matrix as matrix_module
-
-        compute_delegate_matrices(scenario.latency, scenario.clusters, workers=2)
-        with pytest.warns(DeprecationWarning, match="LAST_PARALLEL_STATS"):
-            stats = matrix_module.LAST_PARALLEL_STATS
-        assert stats == matrix_module.last_parallel_stats()
 
 
 class TestCloseSetPrebuildParity:

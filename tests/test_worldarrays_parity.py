@@ -1,12 +1,13 @@
-"""Flat-array substrate parity: bit-identical to the object reference.
+"""Flat-array substrate parity: bit-identical to the object references.
 
-The ``repro.worldarrays`` fast paths are *substitutes*, not
-approximations: for the same scenario they must reproduce the object
-paths bit for bit — every matrix cell (IEEE-exact), every close-set
-entry, every probe count, and every observability record, across
-seeds, scales, serial and parallel execution, with fault injection
-running and tracing on.  These tests are the contract that lets the
-flat paths be the default.
+The ``repro.worldarrays`` paths are the only production paths, and they
+are *substitutes*, not approximations: for the same scenario they must
+reproduce the paper-literal references bit for bit — every matrix cell
+(IEEE-exact) against :mod:`repro.measurement.reference`, every close-set
+entry and probe count against
+:func:`~repro.core.close_cluster.construct_close_cluster_set`, and every
+observability record — across seeds, scales, serial and parallel
+execution, with fault injection running and tracing on.
 """
 
 import dataclasses
@@ -15,13 +16,13 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core import ASAPConfig, ASAPSystem
+from repro.core import ASAPConfig, ASAPSystem, construct_close_cluster_set
 from repro.evaluation.chaos import run_chaos
 from repro.faults import FaultScheduleConfig
 from repro.measurement.matrix import compute_delegate_matrices
+from repro.measurement.reference import reference_delegate_matrices
 from repro.scenario import ScenarioConfig, build_scenario, tiny_scenario
 from repro.scenario import PopulationConfig, TopologyConfig
-from repro.worldarrays import FLAT_WORLD_ENV, flat_enabled
 
 SEEDS = (3, 11, 29)
 
@@ -44,6 +45,52 @@ def scenarios():
     return [tiny_scenario(seed=s) for s in SEEDS] + [_medium_scenario(17)]
 
 
+class ReferenceCloseSetBuilder:
+    """Drop-in for :class:`repro.worldarrays.FlatCloseSetBuilder` (same
+    constructor, same ``build``) that runs the paper-literal
+    construction, probing the same matrix view."""
+
+    def __init__(self, graph, world, clusters_by_as, config):
+        self._graph = graph
+        self._world = world
+        self._clusters_by_as = clusters_by_as
+        self._config = config
+
+    def build(self, own_cluster, own_as):
+        return construct_close_cluster_set(
+            own_cluster=own_cluster,
+            own_as=own_as,
+            graph=self._graph,
+            clusters_in_as=lambda asn: list(self._clusters_by_as.get(asn, ())),
+            lat=self._lat,
+            loss=self._loss,
+            config=self._config,
+        )
+
+    def _lat(self, own, other):
+        value = self._world.rtt_cell(own, other)
+        return value if np.isfinite(value) else None
+
+    def _loss(self, own, other):
+        if not np.isfinite(self._world.rtt_cell(own, other)):
+            return None
+        return self._world.loss_cell(own, other)
+
+
+def _use_reference_builder(monkeypatch):
+    """Make every ASAPSystem built from now on in the test build its
+    close sets with the reference; returns the owners it has built."""
+    built = []
+
+    class Recording(ReferenceCloseSetBuilder):
+        def build(self, own_cluster, own_as):
+            built.append(own_cluster)
+            return super().build(own_cluster, own_as)
+
+    monkeypatch.setattr("repro.worldarrays.FlatCloseSetBuilder", Recording)
+    return built
+
+
 def _assert_matrices_identical(a, b):
     assert np.array_equal(a.rtt_ms, b.rtt_ms)
     assert np.array_equal(a.loss, b.loss)
@@ -51,77 +98,51 @@ def _assert_matrices_identical(a, b):
     assert a.prefixes == b.prefixes
 
 
-class TestFlatDefault:
-    def test_flat_is_the_default(self, monkeypatch):
-        monkeypatch.delenv(FLAT_WORLD_ENV, raising=False)
-        assert flat_enabled()
-
-    def test_env_opts_out(self, monkeypatch):
-        for value in ("0", "no", "off"):
-            monkeypatch.setenv(FLAT_WORLD_ENV, value)
-            assert not flat_enabled()
-        monkeypatch.setenv(FLAT_WORLD_ENV, "1")
-        assert flat_enabled()
-
-
 class TestMatrixParity:
     def test_flat_serial_bit_identical_across_seeds_and_scales(self, scenarios):
         for scenario in scenarios:
-            flat = compute_delegate_matrices(
-                scenario.latency, scenario.clusters, method="flat"
+            flat = compute_delegate_matrices(scenario.latency, scenario.clusters)
+            reference = reference_delegate_matrices(
+                scenario.latency, scenario.clusters
             )
-            obj = compute_delegate_matrices(
-                scenario.latency, scenario.clusters, method="object"
-            )
-            _assert_matrices_identical(flat, obj)
+            _assert_matrices_identical(flat, reference)
 
     def test_flat_parallel_bit_identical_to_object_serial(self, scenarios):
-        scenario = scenarios[0]
-        reference = compute_delegate_matrices(
-            scenario.latency, scenario.clusters, method="object"
-        )
-        for workers in (2, 3):
-            parallel = compute_delegate_matrices(
-                scenario.latency, scenario.clusters, workers=workers, method="flat"
+        for scenario in scenarios:
+            reference = reference_delegate_matrices(
+                scenario.latency, scenario.clusters
             )
-            _assert_matrices_identical(parallel, reference)
-
-    def test_object_parallel_still_bit_identical(self, scenarios):
-        scenario = scenarios[1]
-        reference = compute_delegate_matrices(
-            scenario.latency, scenario.clusters, method="object"
-        )
-        parallel = compute_delegate_matrices(
-            scenario.latency, scenario.clusters, workers=2, method="object"
-        )
-        _assert_matrices_identical(parallel, reference)
-
-    def test_unknown_method_rejected(self, scenarios):
-        from repro.errors import MeasurementError
-
-        scenario = scenarios[0]
-        with pytest.raises(MeasurementError):
-            compute_delegate_matrices(
-                scenario.latency, scenario.clusters, method="sparse"
-            )
+            for workers in (2, 3):
+                parallel = compute_delegate_matrices(
+                    scenario.latency, scenario.clusters, workers=workers
+                )
+                _assert_matrices_identical(parallel, reference)
 
 
-def _close_sets(scenario, flat: bool, monkeypatch, workers: int = 1):
-    monkeypatch.setenv(FLAT_WORLD_ENV, "1" if flat else "0")
-    system = ASAPSystem(scenario, ASAPConfig())
-    return system.prebuild_close_sets(workers=workers)
+def _reference_close_sets(scenario, config):
+    """``construct_close_cluster_set`` run directly for every cluster."""
+    view = scenario.matrix_view()
+    clusters_by_as = {}
+    for idx, asn in enumerate(view.asn_of):
+        clusters_by_as.setdefault(int(asn), []).append(idx)
+    builder = ReferenceCloseSetBuilder(
+        scenario.protocol_graph, view, clusters_by_as, config
+    )
+    return {
+        idx: builder.build(idx, int(asn)) for idx, asn in enumerate(view.asn_of)
+    }
 
 
-def _assert_close_sets_identical(flat_sets, obj_sets):
-    assert set(flat_sets) == set(obj_sets)
-    for idx in obj_sets:
-        flat, obj = flat_sets[idx], obj_sets[idx]
-        assert flat.owner == obj.owner
-        assert flat.probe_messages == obj.probe_messages
-        assert flat.ases_visited == obj.ases_visited
-        assert dict(flat.probes_by_as) == dict(obj.probes_by_as)
-        assert set(flat.entries) == set(obj.entries)
-        for cluster, entry in obj.entries.items():
+def _assert_close_sets_identical(flat_sets, reference_sets):
+    assert set(flat_sets) == set(reference_sets)
+    for idx in reference_sets:
+        flat, ref = flat_sets[idx], reference_sets[idx]
+        assert flat.owner == ref.owner
+        assert flat.probe_messages == ref.probe_messages
+        assert flat.ases_visited == ref.ases_visited
+        assert dict(flat.probes_by_as) == dict(ref.probes_by_as)
+        assert set(flat.entries) == set(ref.entries)
+        for cluster, entry in ref.entries.items():
             got = flat.entries[cluster]
             assert got.rtt_ms == entry.rtt_ms        # bitwise: no approx
             assert got.loss == entry.loss
@@ -129,28 +150,33 @@ def _assert_close_sets_identical(flat_sets, obj_sets):
 
 
 class TestCloseSetParity:
-    def test_bit_identical_across_seeds_and_scales(self, scenarios, monkeypatch):
+    def test_bit_identical_across_seeds_and_scales(self, scenarios):
+        config = ASAPConfig()
         for scenario in scenarios:
+            system = ASAPSystem(scenario, config)
             _assert_close_sets_identical(
-                _close_sets(scenario, flat=True, monkeypatch=monkeypatch),
-                _close_sets(scenario, flat=False, monkeypatch=monkeypatch),
+                system.prebuild_close_sets(workers=1),
+                _reference_close_sets(scenario, config),
             )
 
-    def test_parallel_prebuild_parity(self, scenarios, monkeypatch):
+    def test_parallel_prebuild_parity(self, scenarios):
+        config = ASAPConfig()
         scenario = scenarios[0]
+        system = ASAPSystem(scenario, config)
         _assert_close_sets_identical(
-            _close_sets(scenario, flat=True, monkeypatch=monkeypatch, workers=2),
-            _close_sets(scenario, flat=False, monkeypatch=monkeypatch, workers=1),
+            system.prebuild_close_sets(workers=2),
+            _reference_close_sets(scenario, config),
         )
 
 
 class TestObservabilityParity:
-    """Tracing on: the two paths must write byte-identical traces.jsonl."""
+    """Tracing on: flat and reference paths write byte-identical
+    traces.jsonl and count the same matrix columns."""
 
-    def _trace_bytes(self, scenario, flat, tmp_path, monkeypatch):
-        monkeypatch.setenv(FLAT_WORLD_ENV, "1" if flat else "0")
-        obs_dir = tmp_path / ("flat" if flat else "object")
+    def _trace_bytes(self, scenario, assemble, tmp_path, name):
+        obs_dir = tmp_path / name
         with obs.observe(obs_dir=obs_dir, trace=True) as run:
+            assemble(scenario.latency, scenario.clusters)
             system = ASAPSystem(scenario, ASAPConfig())
             system.prebuild_close_sets(workers=1)
             columns = run.registry.snapshot()["counters"].get("matrix.columns", 0)
@@ -158,15 +184,18 @@ class TestObservabilityParity:
 
     def test_traces_byte_identical(self, scenarios, tmp_path, monkeypatch):
         scenario = scenarios[0]
+        count = scenario.matrices.count  # warm: neither side re-assembles it
         flat_trace, flat_cols = self._trace_bytes(
-            scenario, True, tmp_path, monkeypatch
+            scenario, compute_delegate_matrices, tmp_path, "flat"
         )
-        obj_trace, obj_cols = self._trace_bytes(
-            scenario, False, tmp_path, monkeypatch
+        built = _use_reference_builder(monkeypatch)
+        ref_trace, ref_cols = self._trace_bytes(
+            scenario, reference_delegate_matrices, tmp_path, "reference"
         )
-        assert flat_trace == obj_trace
+        assert built
+        assert flat_trace == ref_trace
         assert flat_trace  # non-empty: the spans were actually emitted
-        assert flat_cols == obj_cols
+        assert flat_cols == ref_cols == count
 
 
 class TestChaosParity:
@@ -182,11 +211,12 @@ class TestChaosParity:
             message_loss_rate=0.05,
             seed=seed,
         )
-        results = {}
-        for flat in (True, False):
-            monkeypatch.setenv(FLAT_WORLD_ENV, "1" if flat else "0")
-            results[flat] = run_chaos(
-                scenario, fault_config, sessions=12, joins=12, seed=seed
-            )
-        assert results[True].to_dict() == results[False].to_dict()
-        assert results[True].fault_log == results[False].fault_log
+
+        def replay():
+            return run_chaos(scenario, fault_config, sessions=12, joins=12, seed=seed)
+
+        flat = replay()
+        _use_reference_builder(monkeypatch)
+        reference = replay()
+        assert flat.to_dict() == reference.to_dict()
+        assert flat.fault_log == reference.fault_log
