@@ -3,10 +3,12 @@
 The evaluation layer scores relay paths with closed-form E-model math
 over (RTT, loss); this package goes the last mile and *measures*
 quality from actual received frames, the way deployed VoIP stacks do.
-Five stages, each its own module:
+Six stages, each its own module:
 
 - :mod:`frames <repro.media.frames>` — sequence-numbered, sim-timestamped
   codec frame generation and canonical received-frame traces;
+- :mod:`channel <repro.media.channel>` — the per-frame loss (i.i.d. or
+  Gilbert–Elliott) and jitter model, the repo's one packet-level channel;
 - :mod:`jitterbuf <repro.media.jitterbuf>` — adaptive playout buffering
   (late frames become effective loss);
 - :mod:`plc <repro.media.plc>` — packet-loss concealment accounting
@@ -18,10 +20,12 @@ Five stages, each its own module:
 
 :mod:`session <repro.media.session>` wires the stages into one
 seed-deterministic in-call media session, consumable by the sim
-runtime, the conference scenario and the CLI.
+runtime, the conference scenario and the CLI; :mod:`repro.voip.call`
+runs path switching, diversity and FEC over the same channel and scorer.
 """
 
 from repro.media.adapt import AdaptationPolicy, CodecAdapter, CodecSwitch
+from repro.media.channel import Channel
 from repro.media.frames import (
     CODEC_WIRE_IDS,
     FrameSource,
@@ -55,6 +59,7 @@ __all__ = [
     "AdaptationPolicy",
     "AdaptiveJitterBuffer",
     "CODEC_WIRE_IDS",
+    "Channel",
     "CodecAdapter",
     "CodecSwitch",
     "ConcealmentReport",

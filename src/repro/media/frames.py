@@ -180,12 +180,16 @@ def trace_from_wire(
     received: Sequence[Tuple[int, float, float, int]],
     expected_frames: Optional[int] = None,
 ) -> ReceivedTrace:
-    """Build a gap-free trace from wire-level ``MediaFrame`` receipts.
+    """Build a gap-free, session-relative trace from ``MediaFrame`` receipts.
 
     ``received`` holds ``(seq, timestamp_ms, arrival_ms, codec_wire_id)``
     tuples in any order; sequence numbers the sender emitted but the
-    receiver never saw become lost frames.  A lost frame's send time is
-    interpolated from its neighbours' pacing (last known codec), since
+    receiver never saw become lost frames.  Every time is measured from
+    the send time of sequence 0, as in :func:`run_media_session`'s
+    traces, so the score does not depend on when the call started.  When
+    sequence 0 is lost, that origin is back-filled from the first
+    received frame as ``ts − seq × interval``.  A lost frame's send time
+    is interpolated from its neighbours' pacing (last known codec), since
     the wire carries send times only on frames that arrived.
     """
     by_seq: Dict[int, Tuple[float, float, int]] = {}
@@ -195,17 +199,23 @@ def trace_from_wire(
             by_seq[seq] = (ts, arr, wire_id)
     if expected_frames is None:
         expected_frames = max(by_seq) + 1 if by_seq else 0
+    last_codec: Codec = ALL_CODECS[0]
+    origin = 0.0
+    if by_seq:
+        first = min(by_seq)
+        first_ts, _, first_id = by_seq[first]
+        last_codec = codec_by_wire_id(first_id)
+        origin = first_ts - first * last_codec.packet_interval_ms()
     frames: List[ReceivedFrame] = []
-    last_codec: Codec = ALL_CODECS[0] if not by_seq else codec_by_wire_id(
-        by_seq[min(by_seq)][2]
-    )
     last_sent = 0.0
     for seq in range(expected_frames):
         if seq in by_seq:
             ts, arr, wire_id = by_seq[seq]
             codec = codec_by_wire_id(wire_id)
-            frames.append(ReceivedFrame(seq, round(ts, 3), round(arr, 3), codec.name))
-            last_codec, last_sent = codec, ts
+            last_codec, last_sent = codec, ts - origin
+            frames.append(
+                ReceivedFrame(seq, round(last_sent, 3), round(arr - origin, 3), codec.name)
+            )
         else:
             last_sent = last_sent + last_codec.packet_interval_ms() if frames else 0.0
             frames.append(

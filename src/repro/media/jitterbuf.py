@@ -1,12 +1,10 @@
 """Adaptive playout jitter buffer.
 
 Tracks smoothed one-way delay and delay variation with the classic
-RFC 3550-style EWMA estimators (the same pair
-:class:`repro.voip.stream.AdaptivePlayoutBuffer` uses analytically)
-and derives a per-frame playout deadline.  A frame that arrives after
-its deadline is *late* — reclassified as effective loss for the PLC
-and scoring stages — so buffer depth trades delay against loss exactly
-as in deployed stacks.  Pure function of the input trace: no RNG, no
+RFC 3550-style EWMA estimators and derives a per-frame playout
+deadline.  A frame that arrives after its deadline is *late* —
+reclassified as effective loss for the PLC and scoring stages — so
+buffer depth trades delay against loss exactly as in deployed stacks.  Pure function of the input trace: no RNG, no
 wall clock, deterministic replay.
 """
 

@@ -11,11 +11,10 @@ drives the codec adapter, and scores the received trace.
 
 Determinism contract: everything derives from ``derive_rng(seed,
 "media", str(call_id))`` and the configuration — same inputs, byte-
-identical :class:`ReceivedTrace`, telemetry samples and MOS.  The RNG
-draw pattern is fixed per loss mode (one uniform per frame i.i.d.,
-two per frame Gilbert–Elliott, plus one exponential per surviving
-frame when jitter is on) and never depends on outage placement, so
-adding an outage does not perturb the channel elsewhere.
+identical :class:`ReceivedTrace`, telemetry samples and MOS.  The
+:class:`~repro.media.channel.Channel` fixes the RNG draw pattern per
+loss mode, so with jitter off adding an outage does not perturb the
+channel elsewhere.
 
 The adapter sees loss feedback with zero delay (the receiver's view,
 not a delayed RTCP-style report) — a documented idealization that
@@ -29,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.media.adapt import AdaptationPolicy, CodecAdapter, CodecSwitch
+from repro.media.channel import Channel
 from repro.media.frames import FrameSource, ReceivedFrame, ReceivedTrace
 from repro.media.jitterbuf import AdaptiveJitterBuffer, JitterBufferConfig, PlayoutResult
 from repro.media.plc import PLCConfig, conceal
@@ -162,55 +162,26 @@ def run_media_session(
     if sorted(path, key=lambda s: s.start_ms) != list(path):
         raise ConfigurationError("path segments must be sorted by start_ms")
 
-    rng = derive_rng(seed, "media", str(call_id))
     adapter = CodecAdapter(config.adaptation) if config.adaptation else None
     # With adaptation on, the policy's primary codec governs pacing;
     # ``config.codec`` applies only to fixed-codec sessions.
     source = FrameSource(adapter.codec if adapter is not None else config.codec)
 
+    channel = Channel(
+        derive_rng(seed, "media", str(call_id)),
+        config.jitter_mean_ms,
+        config.burst_frames,
+    )
     received: List[ReceivedFrame] = []
     switches: List[CodecSwitch] = []
-    ge_bad = False  # Gilbert–Elliott channel state, carried across segments
     for frame in source.frames_until(duration_ms):
         seg = _segment_at(path, frame.sent_ms)
-        if config.burst_frames is None:
-            lost = bool(rng.random() < seg.loss_rate)
-        else:
-            # Per-frame transition probabilities matching the segment's
-            # mean loss at the configured burst length (Gilbert channel:
-            # good never drops, bad always drops).
-            r = 1.0 / config.burst_frames
-            loss = seg.loss_rate
-            p = 0.0 if loss <= 0 else (1.0 if loss >= 1 else min(1.0, r * loss / (1.0 - loss)))
-            transition = rng.random()
-            emission = rng.random()  # reserved draw keeps alignment with loss_bad < 1 variants
-            if ge_bad:
-                if transition < r:
-                    ge_bad = False
-            else:
-                if transition < p:
-                    ge_bad = True
-            lost = ge_bad and emission < 1.0
-        if _in_outage(outages, frame.sent_ms):
-            lost = True  # hard outage overrides the channel (draws already taken)
-        if lost:
-            received.append(
-                ReceivedFrame(frame.sequence, frame.sent_ms, None, frame.codec.name)
-            )
-        else:
-            jitter = (
-                float(rng.exponential(config.jitter_mean_ms))
-                if config.jitter_mean_ms > 0
-                else 0.0
-            )
-            arrival = frame.sent_ms + seg.rtt_ms / 2.0 + jitter
-            received.append(
-                ReceivedFrame(
-                    frame.sequence, frame.sent_ms, round(arrival, 3), frame.codec.name
-                )
-            )
+        got = channel.send(
+            frame, seg.rtt_ms, seg.loss_rate, _in_outage(outages, frame.sent_ms)
+        )
+        received.append(got)
         if adapter is not None:
-            switch = adapter.observe(frame.sequence, frame.sent_ms, lost)
+            switch = adapter.observe(frame.sequence, frame.sent_ms, got.lost)
             if switch is not None:
                 switches.append(switch)
                 source.switch(adapter.codec)

@@ -8,32 +8,31 @@ relay candidates select-close-relay returns:
 - **path switching** [Tao et al.]: monitor the active path's quality in
   windows; when its windowed MOS falls below a threshold, switch to the
   best alternate candidate;
-- **path diversity** [Liang et al.]: transmit every packet over the two
+- **path diversity** [Liang et al.]: transmit every frame over the two
   best candidate paths and keep the earlier surviving copy.
 
 Paths degrade over time through an on/off congestion process
 (:class:`PathQualityProcess`), so a call that starts on a good relay
-can sour mid-call — the scenario switching exists for.
+can sour mid-call — the scenario switching exists for.  Each window's
+frames cross a per-path :class:`repro.media.channel.Channel` and are
+scored with :func:`repro.media.score.score_trace`, the same packet-level
+model the runtime and the wire path use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.media.channel import Channel
+from repro.media.frames import FrameSource, ReceivedFrame, ReceivedTrace, SentFrame
+from repro.media.score import score_trace
+from repro.media.session import MediaPlaneConfig
 from repro.util.rng import derive_rng
 from repro.voip.codecs import Codec, G729A_VAD
-from repro.voip.stream import (
-    PacketArrival,
-    PlayoutBuffer,
-    StreamConfig,
-    merge_diverse_arrivals,
-    score_playout,
-    simulate_stream,
-)
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,6 @@ class CallConfig:
     codec: Codec = G729A_VAD
     window_ms: float = 2_000.0
     windows: int = 30
-    playout_depth_ms: float = 40.0
     # Path switching: switch when the active window's MOS dips below.
     switch_mos_threshold: float = 3.2
     use_switching: bool = True
@@ -108,7 +106,6 @@ class CallConfig:
     # duplication (use_diversity).
     use_fec: bool = False
     fec_group_size: int = 4
-    jitter_mean_ms: float = 6.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -130,8 +127,7 @@ class WindowOutcome:
     active_path: int
     mos: float
     switched: bool
-    effective_loss: float
-    mouth_to_ear_ms: float
+    effective_loss: float         # PLC-weighted, late frames count as lost
 
 
 @dataclass
@@ -177,29 +173,42 @@ class VoiceCall:
             raise ConfigurationError("a call needs at least one candidate path")
         self._paths = list(paths)
         self._config = config
-        self._rng = derive_rng(config.seed, "voice-call")
+        jitter_mean_ms = MediaPlaneConfig().jitter_mean_ms
+        self._channels = [
+            Channel(derive_rng(config.seed, "voice-call", str(index)), jitter_mean_ms)
+            for index in range(len(self._paths))
+        ]
 
     def run(self) -> CallOutcome:
         """Simulate the whole call window by window."""
         config = self._config
+        frames = list(FrameSource(config.codec).frames_until(config.window_ms))
+        # Parity frame g leaves with the last voice frame of its group.
+        k = config.fec_group_size
+        parity = [
+            SentFrame(g, frames[min((g + 1) * k, len(frames)) - 1].sent_ms, config.codec)
+            for g in range(-(-len(frames) // k))
+        ]
         outcome = CallOutcome()
         active = 0
-        buffer = PlayoutBuffer(config.playout_depth_ms)
-        stream_config = StreamConfig(
-            codec=config.codec,
-            duration_ms=config.window_ms,
-            jitter_mean_ms=config.jitter_mean_ms,
-            seed=config.seed,
-        )
         for window in range(config.windows):
             states = [p.step() for p in self._paths]
-            arrivals = self._window_arrivals(states, active, stream_config)
-            played = buffer.play(arrivals, config.codec)
-            mos = score_playout(played, config.codec)
+            received = self._carry(frames, states, active)
+            if (config.use_diversity or config.use_fec) and len(states) > 1:
+                backup = self._best_alternate(states, active)
+                if config.use_diversity:
+                    received = _merge_diverse(
+                        received, self._carry(frames, states, backup)
+                    )
+                else:
+                    received = _recover_fec(
+                        received, self._carry(parity, states, backup), k
+                    )
+            score = score_trace(ReceivedTrace(call_id=window, frames=tuple(received)))
             switched = False
             if (
                 config.use_switching
-                and mos < config.switch_mos_threshold
+                and score.mos < config.switch_mos_threshold
                 and len(self._paths) > 1
             ):
                 active = self._best_alternate(states, active)
@@ -208,51 +217,23 @@ class VoiceCall:
                 WindowOutcome(
                     window=window,
                     active_path=active,
-                    mos=mos,
+                    mos=score.mos,
                     switched=switched,
-                    effective_loss=played.effective_loss,
-                    mouth_to_ear_ms=played.mouth_to_ear_ms,
+                    effective_loss=score.effective_loss,
                 )
             )
         return outcome
 
-    def _window_arrivals(
-        self,
-        states: Sequence[PathState],
-        active: int,
-        stream_config: StreamConfig,
-    ) -> List[PacketArrival]:
-        primary_state = states[active]
-        primary = simulate_stream(
-            primary_state.one_way_delay_ms,
-            primary_state.loss_rate,
-            stream_config,
-            rng=self._rng,
-        )
-        wants_secondary = self._config.use_diversity or self._config.use_fec
-        if not wants_secondary or len(states) < 2:
-            return primary
-        backup_index = self._best_alternate(states, active)
-        backup_state = states[backup_index]
-        if self._config.use_diversity:
-            backup = simulate_stream(
-                backup_state.one_way_delay_ms,
-                backup_state.loss_rate,
-                stream_config,
-                rng=self._rng,
-            )
-            return merge_diverse_arrivals(primary, backup)
-        from repro.voip.stream import apply_fec_recovery, make_parity_stream
-
-        parity = make_parity_stream(
-            backup_state.one_way_delay_ms,
-            backup_state.loss_rate,
-            len(primary),
-            group_size=self._config.fec_group_size,
-            config=stream_config,
-            rng=self._rng,
-        )
-        return apply_fec_recovery(primary, parity, self._config.fec_group_size)
+    def _carry(
+        self, frames: Sequence[SentFrame], states: Sequence[PathState], index: int
+    ) -> List[ReceivedFrame]:
+        """Send ``frames`` over candidate path ``index`` in its current state."""
+        state = states[index]
+        channel = self._channels[index]
+        return [
+            channel.send(f, 2.0 * state.one_way_delay_ms, state.loss_rate)
+            for f in frames
+        ]
 
     def _best_alternate(self, states: Sequence[PathState], active: int) -> int:
         """The non-active path with the best instantaneous quality."""
@@ -266,6 +247,52 @@ class VoiceCall:
                 best_score = score
                 best_index = index
         return best_index
+
+
+def _merge_diverse(
+    primary: Sequence[ReceivedFrame], secondary: Sequence[ReceivedFrame]
+) -> List[ReceivedFrame]:
+    """Path diversity [Liang/Steinbach/Girod]: each frame is sent on two
+    paths; the receiver keeps the earlier surviving copy."""
+    if len(primary) != len(secondary):
+        raise ConfigurationError("diverse streams must carry the same frames")
+    merged: List[ReceivedFrame] = []
+    for a, b in zip(primary, secondary):
+        if a.sequence != b.sequence:
+            raise ConfigurationError("sequence mismatch between diverse streams")
+        arrivals = [f.arrival_ms for f in (a, b) if not f.lost]
+        merged.append(replace(a, arrival_ms=min(arrivals, default=None)))
+    return merged
+
+
+def _recover_fec(
+    frames: Sequence[ReceivedFrame],
+    parity: Sequence[ReceivedFrame],
+    group_size: int,
+) -> List[ReceivedFrame]:
+    """FEC over a diverse path [Nguyen & Zakhor]: one XOR parity frame
+    per ``group_size`` voice frames travels the secondary path; a group
+    missing exactly one voice frame recovers it when its parity arrived.
+
+    ``parity[g]`` covers voice frames ``[g·k, (g+1)·k)``.  A recovered
+    frame arrives at the later of the parity's arrival and the group's
+    last surviving arrival — reconstruction needs every piece.
+    """
+    groups = -(-len(frames) // group_size)
+    if len(parity) < groups:
+        raise ConfigurationError(
+            f"need {groups} parity frames for {len(frames)} voice frames"
+        )
+    recovered = list(frames)
+    for g in range(groups):
+        lo = g * group_size
+        group = frames[lo:lo + group_size]
+        missing = [i for i, f in enumerate(group) if f.lost]
+        if len(missing) != 1 or parity[g].lost:
+            continue
+        ready = max([f.arrival_ms for f in group if not f.lost] + [parity[g].arrival_ms])
+        recovered[lo + missing[0]] = replace(group[missing[0]], arrival_ms=ready)
+    return recovered
 
 
 def call_paths_from_selection(

@@ -1,200 +1,146 @@
-"""Gilbert–Elliott bursty-loss channel and path-diversity merge edge
-cases for :mod:`repro.voip.stream`."""
+"""The media plane's Gilbert–Elliott bursty-loss channel
+(:class:`repro.media.channel.Channel`) and the path-diversity merge of
+:mod:`repro.voip.call`."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.media.jitterbuf import AdaptiveJitterBuffer
-from repro.media.frames import ReceivedFrame, ReceivedTrace
-from repro.voip.stream import (
-    GilbertElliottConfig,
-    PacketArrival,
-    StreamConfig,
-    merge_diverse_arrivals,
-    sample_gilbert_elliott,
-    simulate_stream,
-)
+from repro.media.channel import Channel
+from repro.media.frames import FrameSource, ReceivedFrame
+from repro.media.session import MediaPlaneConfig
+from repro.voip.call import _merge_diverse
+from repro.voip.codecs import G729A_VAD
 
 
-class TestGilbertElliottConfig:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            GilbertElliottConfig(p_good_to_bad=1.5, p_bad_to_good=0.5)
-        with pytest.raises(ConfigurationError):
-            GilbertElliottConfig(p_good_to_bad=0.1, p_bad_to_good=0.0)
-        with pytest.raises(ConfigurationError):
-            GilbertElliottConfig(p_good_to_bad=0.1, p_bad_to_good=0.5, loss_bad=-0.1)
+def _lost_flags(channel, count, loss=0.10, rtt_ms=80.0):
+    source = FrameSource(G729A_VAD)
+    return np.array(
+        [channel.send(source.next_frame(), rtt_ms, loss).lost for _ in range(count)]
+    )
 
-    def test_stationary_loss(self):
-        config = GilbertElliottConfig(p_good_to_bad=0.02, p_bad_to_good=0.25)
-        assert config.stationary_bad == pytest.approx(0.02 / 0.27)
-        assert config.stationary_loss == pytest.approx(config.stationary_bad)
 
-    def test_from_loss_and_burst(self):
-        config = GilbertElliottConfig.from_loss_and_burst(0.05, mean_burst=4.0)
-        assert config.p_bad_to_good == pytest.approx(0.25)
-        assert config.stationary_loss == pytest.approx(0.05)
-        with pytest.raises(ConfigurationError):
-            GilbertElliottConfig.from_loss_and_burst(0.0)
-        with pytest.raises(ConfigurationError):
-            GilbertElliottConfig.from_loss_and_burst(0.05, mean_burst=0.5)
-
-    def test_from_loss_and_burst_clamps_transition(self):
-        # Extreme loss with short bursts would need p > 1: clamped.
-        config = GilbertElliottConfig.from_loss_and_burst(0.95, mean_burst=1.0)
-        assert config.p_good_to_bad == 1.0
+def _mean_run(lost):
+    runs = []
+    current = 0
+    for flag in lost:
+        if flag:
+            current += 1
+        elif current:
+            runs.append(current)
+            current = 0
+    if current:
+        runs.append(current)
+    return np.mean(runs)
 
 
 class TestSampleGilbertElliott:
+    def test_validation(self):
+        with pytest.raises(ConfigurationError):
+            MediaPlaneConfig(burst_frames=0.5)
+        with pytest.raises(ConfigurationError):
+            MediaPlaneConfig(jitter_mean_ms=-1.0)
+
     def test_deterministic_per_seed(self):
-        config = GilbertElliottConfig.from_loss_and_burst(0.10)
-        a = sample_gilbert_elliott(np.random.default_rng(7), 2000, config)
-        b = sample_gilbert_elliott(np.random.default_rng(7), 2000, config)
+        a = _lost_flags(Channel(np.random.default_rng(7), 6.0, 4.0), 2000)
+        b = _lost_flags(Channel(np.random.default_rng(7), 6.0, 4.0), 2000)
         assert np.array_equal(a, b)
-        c = sample_gilbert_elliott(np.random.default_rng(8), 2000, config)
+        c = _lost_flags(Channel(np.random.default_rng(8), 6.0, 4.0), 2000)
         assert not np.array_equal(a, c)
 
     def test_matches_stationary_loss(self):
-        config = GilbertElliottConfig.from_loss_and_burst(0.10, mean_burst=4.0)
-        lost = sample_gilbert_elliott(np.random.default_rng(0), 50_000, config)
+        channel = Channel(np.random.default_rng(0), 6.0, 4.0)
+        lost = _lost_flags(channel, 50_000)
         assert lost.mean() == pytest.approx(0.10, abs=0.02)
 
     def test_losses_are_bursty(self):
         """Mean run length of consecutive losses tracks the configured
-        burst length — the point of the two-state channel."""
-        config = GilbertElliottConfig.from_loss_and_burst(0.10, mean_burst=4.0)
-        lost = sample_gilbert_elliott(np.random.default_rng(0), 50_000, config)
-        runs = []
-        current = 0
-        for flag in lost:
-            if flag:
-                current += 1
-            elif current:
-                runs.append(current)
-                current = 0
-        if current:
-            runs.append(current)
-        assert np.mean(runs) == pytest.approx(4.0, rel=0.25)
+        burst length — the point of the two-state channel; i.i.d. loss
+        at the same rate gives runs of about 1/(1 - 0.1) frames."""
+        bursty = _lost_flags(Channel(np.random.default_rng(0), 6.0, 4.0), 50_000)
+        iid = _lost_flags(Channel(np.random.default_rng(0), 6.0), 50_000)
+        assert _mean_run(bursty) == pytest.approx(4.0, rel=0.25)
+        assert _mean_run(iid) == pytest.approx(1.1, abs=0.1)
 
     def test_consumes_fixed_draw_budget(self):
-        """Exactly two uniforms per packet, regardless of channel state —
+        """Exactly two uniforms per frame, regardless of channel state —
         the determinism contract downstream code relies on."""
-        config = GilbertElliottConfig.from_loss_and_burst(0.10)
         rng = np.random.default_rng(3)
-        sample_gilbert_elliott(rng, 100, config)
+        _lost_flags(Channel(rng, 0.0, 4.0), 100)
         probe_after = np.random.default_rng(3)
         probe_after.random(200)  # the 2·count draws
         assert rng.random() == probe_after.random()
 
 
-class TestStreamConfigGE:
-    def test_ge_none_is_bit_identical_to_iid_contract(self):
-        """The default (``ge=None``) consumes draws exactly as the
-        pre-bursty code did: one uniform per packet, then the jitter
-        exponentials."""
-        config = StreamConfig(duration_ms=2_000.0, seed=5)
-        arrivals = simulate_stream(40.0, 0.1, config)
-        rng = np.random.default_rng(5)
-        expect_lost = rng.random(config.packet_count) < 0.1
-        jitter = rng.exponential(config.jitter_mean_ms, size=config.packet_count)
-        for seq, packet in enumerate(arrivals):
-            if expect_lost[seq]:
-                assert packet.lost
+class TestChannelDraws:
+    def test_iid_draw_order(self):
+        """One uniform per frame, then one exponential per surviving
+        frame, in frame order."""
+        source = FrameSource(G729A_VAD)
+        frames = [source.next_frame() for _ in range(100)]
+        channel = Channel(np.random.default_rng(5), 6.0)
+        received = [channel.send(f, 80.0, 0.1) for f in frames]
+        replica = np.random.default_rng(5)
+        for frame, got in zip(frames, received):
+            if replica.random() < 0.1:
+                assert got.lost
             else:
-                assert packet.arrival_ms == pytest.approx(
-                    packet.sent_ms + 40.0 + jitter[seq]
-                )
+                expect = frame.sent_ms + 40.0 + replica.exponential(6.0)
+                assert got.arrival_ms == pytest.approx(expect, abs=1e-3)
 
-    def test_ge_mode_deterministic_and_bursty(self):
-        ge = GilbertElliottConfig.from_loss_and_burst(0.30, mean_burst=6.0)
-        config = StreamConfig(duration_ms=60_000.0, seed=2, ge=ge)
-        a = simulate_stream(40.0, 0.0, config)
-        b = simulate_stream(40.0, 0.0, config)
-        assert a == b
-        loss = sum(1 for p in a if p.lost) / len(a)
-        assert loss == pytest.approx(0.30, abs=0.05)
-
-    def test_ge_mode_ignores_loss_rate_argument(self):
-        ge = GilbertElliottConfig.from_loss_and_burst(0.10)
-        config = StreamConfig(duration_ms=5_000.0, seed=2, ge=ge)
-        a = simulate_stream(40.0, 0.0, config)
-        b = simulate_stream(40.0, 0.9, config)
-        assert a == b
+    def test_gilbert_mode_deterministic_and_bursty(self):
+        a = _lost_flags(Channel(np.random.default_rng(2), 6.0, 6.0), 3000, 0.30)
+        b = _lost_flags(Channel(np.random.default_rng(2), 6.0, 6.0), 3000, 0.30)
+        assert np.array_equal(a, b)
+        assert a.mean() == pytest.approx(0.30, abs=0.05)
 
 
 class TestMergeDiverseArrivals:
     def test_empty_streams(self):
-        assert merge_diverse_arrivals([], []) == []
+        assert _merge_diverse([], []) == []
 
     def test_length_mismatch_rejected(self):
-        one = [PacketArrival(0, 0.0, 50.0)]
+        one = [ReceivedFrame(0, 0.0, 50.0, "G.729A+VAD")]
         with pytest.raises(ConfigurationError):
-            merge_diverse_arrivals(one, [])
+            _merge_diverse(one, [])
         with pytest.raises(ConfigurationError):
-            merge_diverse_arrivals([], one)
+            _merge_diverse([], one)
 
     def test_sequence_mismatch_rejected(self):
-        a = [PacketArrival(0, 0.0, 50.0)]
-        b = [PacketArrival(1, 0.0, 50.0)]
+        a = [ReceivedFrame(0, 0.0, 50.0, "G.729A+VAD")]
+        b = [ReceivedFrame(1, 0.0, 50.0, "G.729A+VAD")]
         with pytest.raises(ConfigurationError):
-            merge_diverse_arrivals(a, b)
+            _merge_diverse(a, b)
 
     def test_fully_disjoint_loss_merges_to_zero_loss(self):
-        """Primary loses even packets, secondary loses odd ones: the
+        """Primary loses even frames, secondary loses odd ones: the
         merged stream hears everything."""
         primary = [
-            PacketArrival(i, i * 20.0, None if i % 2 == 0 else i * 20.0 + 50.0)
+            ReceivedFrame(i, i * 20.0, None if i % 2 == 0 else i * 20.0 + 50.0, "G.729A+VAD")
             for i in range(20)
         ]
         secondary = [
-            PacketArrival(i, i * 20.0, None if i % 2 == 1 else i * 20.0 + 70.0)
+            ReceivedFrame(i, i * 20.0, None if i % 2 == 1 else i * 20.0 + 70.0, "G.729A+VAD")
             for i in range(20)
         ]
-        merged = merge_diverse_arrivals(primary, secondary)
-        assert all(not p.lost for p in merged)
-        # Each packet keeps its single surviving copy's timestamp.
+        merged = _merge_diverse(primary, secondary)
+        assert all(not f.lost for f in merged)
+        # Each frame keeps its single surviving copy's timestamp.
         assert merged[0].arrival_ms == 70.0 and merged[1].arrival_ms == 70.0
 
     def test_duplicate_timestamps_keep_single_copy(self):
         """Both copies arriving at the same instant collapse to one
         arrival at that timestamp (min of equals)."""
-        primary = [PacketArrival(0, 0.0, 55.0)]
-        secondary = [PacketArrival(0, 0.0, 55.0)]
-        merged = merge_diverse_arrivals(primary, secondary)
-        assert merged == [PacketArrival(0, 0.0, 55.0)]
+        primary = [ReceivedFrame(0, 0.0, 55.0, "G.729A+VAD")]
+        secondary = [ReceivedFrame(0, 0.0, 55.0, "G.729A+VAD")]
+        assert _merge_diverse(primary, secondary) == primary
 
     def test_earlier_copy_wins(self):
-        primary = [PacketArrival(0, 0.0, 90.0)]
-        secondary = [PacketArrival(0, 0.0, 60.0)]
-        assert merge_diverse_arrivals(primary, secondary)[0].arrival_ms == 60.0
+        primary = [ReceivedFrame(0, 0.0, 90.0, "G.729A+VAD")]
+        secondary = [ReceivedFrame(0, 0.0, 60.0, "G.729A+VAD")]
+        assert _merge_diverse(primary, secondary)[0].arrival_ms == 60.0
 
     def test_both_lost_stays_lost(self):
-        primary = [PacketArrival(0, 0.0, None)]
-        secondary = [PacketArrival(0, 0.0, None)]
-        assert merge_diverse_arrivals(primary, secondary)[0].lost
-
-
-class TestJitterBufferReclassificationDeterminism:
-    def test_late_frame_reclassification_is_deterministic(self):
-        """Replaying the identical trace through fresh buffers yields the
-        identical played/late/lost classification, frame for frame."""
-        rng = np.random.default_rng(4)
-        arrivals = []
-        for i in range(500):
-            if rng.random() < 0.03:
-                arrivals.append(None)
-            else:
-                arrivals.append(i * 20.0 + 60.0 + float(rng.exponential(15.0)))
-        trace = ReceivedTrace(
-            call_id=1,
-            frames=tuple(
-                ReceivedFrame(i, i * 20.0, a, "G.729A+VAD")
-                for i, a in enumerate(arrivals)
-            ),
-        )
-        a = AdaptiveJitterBuffer().play(trace)
-        b = AdaptiveJitterBuffer().play(trace)
-        assert a.frames == b.frames
-        assert a.late > 0  # the jitter actually produced late frames
-        assert [f.status for f in a.frames] == [f.status for f in b.frames]
+        primary = [ReceivedFrame(0, 0.0, None, "G.729A+VAD")]
+        secondary = [ReceivedFrame(0, 0.0, None, "G.729A+VAD")]
+        assert _merge_diverse(primary, secondary)[0].lost

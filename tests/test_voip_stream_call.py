@@ -1,4 +1,6 @@
-"""Tests for packet-level streams, playout buffering, and the call runtime."""
+"""Tests for the call runtime and the packet-level pieces it runs on:
+streams through the media channel, the playout buffer's depth, path
+diversity and FEC recovery."""
 
 import numpy as np
 import pytest
@@ -6,146 +8,167 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.media.channel import Channel
+from repro.media.frames import FrameSource, ReceivedFrame, ReceivedTrace, SentFrame
+from repro.media.jitterbuf import AdaptiveJitterBuffer, JitterBufferConfig
+from repro.media.score import score_trace
+from repro.media.session import PathWindow, run_media_session
 from repro.voip.call import (
     CallConfig,
     PathQualityProcess,
     VoiceCall,
+    _merge_diverse,
+    _recover_fec,
     call_paths_from_selection,
 )
-from repro.voip.codecs import G711, G729A_VAD
-from repro.voip.stream import (
-    PlayoutBuffer,
-    StreamConfig,
-    merge_diverse_arrivals,
-    score_playout,
-    simulate_stream,
-)
+from repro.voip.codecs import G729A_VAD
+
+
+def _stream(one_way_ms, loss, duration_ms=10_000.0, jitter_ms=6.0, seed=0):
+    """One direction of a voice stream through the media channel."""
+    channel = Channel(np.random.default_rng(seed), jitter_mean_ms=jitter_ms)
+    frames = FrameSource(G729A_VAD).frames_until(duration_ms)
+    return [channel.send(f, 2.0 * one_way_ms, loss) for f in frames]
+
+
+def _trace(received):
+    return ReceivedTrace(call_id=1, frames=tuple(received))
 
 
 class TestSimulateStream:
     def test_packet_count_and_spacing(self):
-        config = StreamConfig(duration_ms=1000.0)
-        arrivals = simulate_stream(50.0, 0.0, config)
-        assert len(arrivals) == config.packet_count
+        arrivals = _stream(50.0, 0.0, duration_ms=1000.0)
+        interval = G729A_VAD.packet_interval_ms()
+        assert len(arrivals) == int(1000.0 / interval)
         gaps = {round(b.sent_ms - a.sent_ms, 6) for a, b in zip(arrivals, arrivals[1:])}
-        assert gaps == {config.codec.packet_interval_ms()}
+        assert gaps == {interval}
 
     def test_zero_loss_all_arrive(self):
-        arrivals = simulate_stream(50.0, 0.0, StreamConfig(duration_ms=2000.0))
+        arrivals = _stream(50.0, 0.0, duration_ms=2000.0)
         assert all(not p.lost for p in arrivals)
         for p in arrivals:
             assert p.arrival_ms >= p.sent_ms + 50.0
 
     def test_full_loss(self):
-        arrivals = simulate_stream(50.0, 1.0, StreamConfig(duration_ms=1000.0))
+        arrivals = _stream(50.0, 1.0, duration_ms=1000.0)
         assert all(p.lost for p in arrivals)
 
     def test_loss_rate_statistics(self):
-        arrivals = simulate_stream(50.0, 0.2, StreamConfig(duration_ms=60_000.0, seed=3))
+        arrivals = _stream(50.0, 0.2, duration_ms=60_000.0, seed=3)
         observed = np.mean([p.lost for p in arrivals])
         assert 0.15 < observed < 0.25
 
     def test_deterministic_by_seed(self):
-        a = simulate_stream(50.0, 0.1, StreamConfig(seed=5))
-        b = simulate_stream(50.0, 0.1, StreamConfig(seed=5))
-        assert a == b
+        assert _stream(50.0, 0.1, seed=5) == _stream(50.0, 0.1, seed=5)
 
     def test_invalid_inputs(self):
         with pytest.raises(ConfigurationError):
-            simulate_stream(-1.0, 0.0)
+            PathWindow(0.0, -1.0, 0.0)
         with pytest.raises(ConfigurationError):
-            simulate_stream(10.0, 1.5)
+            PathWindow(0.0, 10.0, 1.5)
         with pytest.raises(ConfigurationError):
-            StreamConfig(duration_ms=0)
+            run_media_session(1, 0.0, [PathWindow(0.0, 100.0, 0.0)])
 
 
 class TestDiversity:
     def test_earlier_copy_wins(self):
-        fast = simulate_stream(30.0, 0.0, StreamConfig(duration_ms=1000.0, jitter_mean_ms=0.0))
-        slow = simulate_stream(90.0, 0.0, StreamConfig(duration_ms=1000.0, jitter_mean_ms=0.0))
-        merged = merge_diverse_arrivals(slow, fast)
+        fast = _stream(30.0, 0.0, duration_ms=1000.0, jitter_ms=0.0)
+        slow = _stream(90.0, 0.0, duration_ms=1000.0, jitter_ms=0.0)
+        merged = _merge_diverse(slow, fast)
         for p in merged:
             assert p.arrival_ms == pytest.approx(p.sent_ms + 30.0)
 
     def test_survives_single_path_loss(self):
-        lossy = simulate_stream(30.0, 1.0, StreamConfig(duration_ms=1000.0))
-        clean = simulate_stream(90.0, 0.0, StreamConfig(duration_ms=1000.0))
-        merged = merge_diverse_arrivals(lossy, clean)
+        lossy = _stream(30.0, 1.0, duration_ms=1000.0)
+        clean = _stream(90.0, 0.0, duration_ms=1000.0)
+        merged = _merge_diverse(lossy, clean)
         assert all(not p.lost for p in merged)
 
     def test_lost_on_both(self):
-        a = simulate_stream(30.0, 1.0, StreamConfig(duration_ms=500.0))
-        b = simulate_stream(60.0, 1.0, StreamConfig(duration_ms=500.0))
-        merged = merge_diverse_arrivals(a, b)
+        a = _stream(30.0, 1.0, duration_ms=500.0)
+        b = _stream(60.0, 1.0, duration_ms=500.0)
+        merged = _merge_diverse(a, b)
         assert all(p.lost for p in merged)
 
     def test_mismatched_streams_rejected(self):
-        a = simulate_stream(30.0, 0.0, StreamConfig(duration_ms=500.0))
-        b = simulate_stream(30.0, 0.0, StreamConfig(duration_ms=1000.0))
+        a = _stream(30.0, 0.0, duration_ms=500.0)
+        b = _stream(30.0, 0.0, duration_ms=1000.0)
         with pytest.raises(ConfigurationError):
-            merge_diverse_arrivals(a, b)
+            _merge_diverse(a, b)
 
     @given(st.floats(0.0, 0.6), st.floats(0.0, 0.6))
     @settings(max_examples=30, deadline=None)
     def test_diversity_never_increases_loss(self, loss_a, loss_b):
-        config = StreamConfig(duration_ms=5000.0, seed=1)
-        a = simulate_stream(40.0, loss_a, config, rng=np.random.default_rng(1))
-        b = simulate_stream(60.0, loss_b, config, rng=np.random.default_rng(2))
-        merged = merge_diverse_arrivals(a, b)
+        a = _stream(40.0, loss_a, duration_ms=5000.0, seed=1)
+        b = _stream(60.0, loss_b, duration_ms=5000.0, seed=2)
+        merged = _merge_diverse(a, b)
         merged_loss = np.mean([p.lost for p in merged])
         assert merged_loss <= min(
             np.mean([p.lost for p in a]), np.mean([p.lost for p in b])
         ) + 1e-12
 
 
-class TestPlayoutBuffer:
+class TestBufferDepth:
+    """The adaptive buffer's depth floor trades delay against late loss."""
+
+    def _play(self, received, min_depth_ms=20.0):
+        return AdaptiveJitterBuffer(JitterBufferConfig(min_depth_ms=min_depth_ms)).play(
+            _trace(received)
+        )
+
     def test_deep_buffer_plays_everything(self):
-        arrivals = simulate_stream(50.0, 0.0, StreamConfig(duration_ms=2000.0))
-        result = PlayoutBuffer(depth_ms=500.0).play(arrivals)
+        result = self._play(_stream(50.0, 0.0, duration_ms=2000.0), min_depth_ms=150.0)
         assert result.late == 0
-        assert result.played == result.total
+        assert result.played == len(result.frames)
 
     def test_shallow_buffer_discards_late(self):
-        arrivals = simulate_stream(
-            50.0, 0.0, StreamConfig(duration_ms=5000.0, jitter_mean_ms=30.0)
-        )
-        result = PlayoutBuffer(depth_ms=1.0).play(arrivals)
+        result = self._play(_stream(50.0, 0.1, jitter_ms=30.0), min_depth_ms=0.0)
         assert result.late > 0
-        assert result.played + result.late + result.network_lost == result.total
+        assert result.played + result.late + result.lost == len(result.frames)
 
     def test_effective_loss_combines(self):
-        arrivals = simulate_stream(
-            50.0, 0.1, StreamConfig(duration_ms=10_000.0, jitter_mean_ms=20.0, seed=2)
-        )
-        result = PlayoutBuffer(depth_ms=10.0).play(arrivals)
-        assert result.effective_loss > 0.1  # network loss plus late loss
+        received = _stream(50.0, 0.1, jitter_ms=20.0, seed=2)
+        result = self._play(received, min_depth_ms=0.0)
+        network_loss = np.mean([p.lost for p in received])
+        # Network loss plus late loss.
+        assert (result.late + result.lost) / len(result.frames) > network_loss
 
     def test_all_lost_stream(self):
-        arrivals = simulate_stream(50.0, 1.0, StreamConfig(duration_ms=500.0))
-        result = PlayoutBuffer().play(arrivals)
-        assert result.played == 0
-        assert not np.isfinite(result.mouth_to_ear_ms)
-        assert score_playout(result) == 1.0
+        received = _stream(50.0, 1.0, duration_ms=500.0)
+        assert self._play(received).played == 0
+        assert score_trace(_trace(received)).mos == 1.0
 
-    def test_empty_stream_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PlayoutBuffer().play([])
+    def test_accounting_sums(self):
+        received = _stream(50.0, 0.1, jitter_ms=10.0)
+        result = AdaptiveJitterBuffer().play(_trace(received))
+        assert result.played + result.late + result.lost == len(result.frames)
+
+    def test_all_lost(self):
+        received = _stream(50.0, 1.0, duration_ms=1000.0, jitter_ms=5.0)
+        result = AdaptiveJitterBuffer().play(_trace(received))
+        assert result.played == 0
+        assert result.lost == len(result.frames)
+        # Nothing played, so every scoring window is an outage.
+        assert all(w.is_outage for w in score_trace(_trace(received)).windows)
 
     def test_depth_delay_tradeoff(self):
-        # A deeper buffer lowers loss but raises mouth-to-ear delay.
-        arrivals = simulate_stream(
-            60.0, 0.0, StreamConfig(duration_ms=10_000.0, jitter_mean_ms=25.0, seed=4)
-        )
-        shallow = PlayoutBuffer(depth_ms=5.0).play(arrivals)
-        deep = PlayoutBuffer(depth_ms=120.0).play(arrivals)
-        assert deep.effective_loss <= shallow.effective_loss
-        assert deep.mouth_to_ear_ms > shallow.mouth_to_ear_ms
+        # A deeper buffer lowers late loss but raises the playout depth.
+        received = _stream(60.0, 0.0, jitter_ms=25.0, seed=4)
+        shallow = self._play(received, min_depth_ms=5.0)
+        deep = self._play(received, min_depth_ms=120.0)
+        assert deep.late < shallow.late
+        assert deep.mean_depth_ms > shallow.mean_depth_ms
 
-    def test_score_playout_reasonable(self):
-        arrivals = simulate_stream(40.0, 0.002, StreamConfig(duration_ms=5000.0, seed=5))
-        result = PlayoutBuffer(depth_ms=40.0).play(arrivals)
-        mos = score_playout(result)
-        assert 3.5 < mos <= 4.5
+    def test_high_jitter_deepens(self):
+        calm = self._play(_stream(60.0, 0.0, duration_ms=20_000.0, jitter_ms=1.0, seed=6))
+        jittery = self._play(
+            _stream(60.0, 0.0, duration_ms=20_000.0, jitter_ms=40.0, seed=6)
+        )
+        assert jittery.mean_depth_ms > calm.mean_depth_ms
+
+    def test_measured_mos_reasonable(self):
+        received = _stream(40.0, 0.002, duration_ms=5000.0, seed=5)
+        assert 3.5 < score_trace(_trace(received)).mos <= 4.5
 
 
 class TestPathQualityProcess:
@@ -256,143 +279,69 @@ class TestCallPathsFromSelection:
         assert outcome.mean_mos > 1.0
 
 
-class TestAdaptivePlayoutBuffer:
-    def _stream(self, jitter, duration=20_000.0, loss=0.0, seed=6):
-        from repro.voip.stream import simulate_stream, StreamConfig
-
-        return simulate_stream(
-            60.0, loss, StreamConfig(duration_ms=duration, jitter_mean_ms=jitter, seed=seed)
-        )
-
-    def test_low_jitter_tight_deadline(self):
-        from repro.voip.stream import AdaptivePlayoutBuffer, PlayoutBuffer
-
-        arrivals = self._stream(jitter=1.0)
-        adaptive = AdaptivePlayoutBuffer().play(arrivals)
-        fixed_deep = PlayoutBuffer(depth_ms=120.0).play(arrivals)
-        # On a calm path the adaptive buffer plays out far earlier.
-        assert adaptive.mouth_to_ear_ms < fixed_deep.mouth_to_ear_ms
-        assert adaptive.effective_loss < 0.05
-
-    def test_high_jitter_deepens(self):
-        from repro.voip.stream import AdaptivePlayoutBuffer
-
-        calm = AdaptivePlayoutBuffer().play(self._stream(jitter=1.0))
-        jittery = AdaptivePlayoutBuffer().play(self._stream(jitter=40.0))
-        assert jittery.mouth_to_ear_ms > calm.mouth_to_ear_ms
-
-    def test_beats_shallow_fixed_on_jitter(self):
-        from repro.voip.stream import AdaptivePlayoutBuffer, PlayoutBuffer
-
-        arrivals = self._stream(jitter=30.0)
-        adaptive = AdaptivePlayoutBuffer().play(arrivals)
-        shallow = PlayoutBuffer(depth_ms=2.0).play(arrivals)
-        assert adaptive.effective_loss < shallow.effective_loss
-
-    def test_accounting_sums(self):
-        from repro.voip.stream import AdaptivePlayoutBuffer
-
-        arrivals = self._stream(jitter=10.0, loss=0.1)
-        result = AdaptivePlayoutBuffer().play(arrivals)
-        assert result.played + result.late + result.network_lost == result.total
-
-    def test_all_lost(self):
-        from repro.voip.stream import AdaptivePlayoutBuffer
-
-        arrivals = self._stream(jitter=5.0, loss=1.0, duration=1_000.0)
-        result = AdaptivePlayoutBuffer().play(arrivals)
-        assert result.played == 0
-        assert not np.isfinite(result.mouth_to_ear_ms)
-
-    def test_invalid_params(self):
-        from repro.voip.stream import AdaptivePlayoutBuffer
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            AdaptivePlayoutBuffer(alpha=1.0)
-        with pytest.raises(ConfigurationError):
-            AdaptivePlayoutBuffer(factor=0.0)
-        with pytest.raises(ConfigurationError):
-            AdaptivePlayoutBuffer().play([])
-
-
 class TestFECRecovery:
     def _voice(self, loss, duration=10_000.0, seed=9):
-        return simulate_stream(
-            50.0, loss, StreamConfig(duration_ms=duration, jitter_mean_ms=5.0, seed=seed)
-        )
+        return _stream(50.0, loss, duration_ms=duration, jitter_ms=5.0, seed=seed)
 
     def _parity(self, voice, loss=0.0, seed=9):
-        from repro.voip.stream import make_parity_stream, StreamConfig as SC
-
-        return make_parity_stream(
-            70.0, loss, len(voice), group_size=4,
-            config=SC(duration_ms=10_000.0, jitter_mean_ms=5.0, seed=seed),
-        )
+        parity = [
+            SentFrame(g // 4, voice[min(g + 4, len(voice)) - 1].sent_ms, G729A_VAD)
+            for g in range(0, len(voice), 4)
+        ]
+        channel = Channel(np.random.default_rng(seed + 1), jitter_mean_ms=5.0)
+        return [channel.send(f, 140.0, loss) for f in parity]
 
     def test_recovers_isolated_losses(self):
-        from repro.voip.stream import apply_fec_recovery
-
         voice = self._voice(loss=0.05)
-        parity = self._parity(voice)
-        recovered = apply_fec_recovery(voice, parity, group_size=4)
+        recovered = _recover_fec(voice, self._parity(voice), group_size=4)
         before = sum(1 for p in voice if p.lost)
         after = sum(1 for p in recovered if p.lost)
         assert before > 0
         assert after < before
 
     def test_cannot_recover_double_loss_in_group(self):
-        from repro.voip.stream import apply_fec_recovery, PacketArrival
-
         voice = [
-            PacketArrival(0, 0.0, None),
-            PacketArrival(1, 20.0, None),
-            PacketArrival(2, 40.0, 90.0),
-            PacketArrival(3, 60.0, 110.0),
+            ReceivedFrame(0, 0.0, None, "G.729A+VAD"),
+            ReceivedFrame(1, 20.0, None, "G.729A+VAD"),
+            ReceivedFrame(2, 40.0, 90.0, "G.729A+VAD"),
+            ReceivedFrame(3, 60.0, 110.0, "G.729A+VAD"),
         ]
-        parity = [PacketArrival(0, 60.0, 130.0)]
-        recovered = apply_fec_recovery(voice, parity, group_size=4)
+        parity = [ReceivedFrame(0, 60.0, 130.0, "G.729A+VAD")]
+        recovered = _recover_fec(voice, parity, group_size=4)
         assert sum(1 for p in recovered if p.lost) == 2
 
     def test_recovery_waits_for_all_pieces(self):
-        from repro.voip.stream import apply_fec_recovery, PacketArrival
-
         voice = [
-            PacketArrival(0, 0.0, None),
-            PacketArrival(1, 20.0, 70.0),
-            PacketArrival(2, 40.0, 95.0),
-            PacketArrival(3, 60.0, 200.0),
+            ReceivedFrame(0, 0.0, None, "G.729A+VAD"),
+            ReceivedFrame(1, 20.0, 70.0, "G.729A+VAD"),
+            ReceivedFrame(2, 40.0, 95.0, "G.729A+VAD"),
+            ReceivedFrame(3, 60.0, 200.0, "G.729A+VAD"),
         ]
-        parity = [PacketArrival(0, 60.0, 130.0)]
-        recovered = apply_fec_recovery(voice, parity, group_size=4)
+        parity = [ReceivedFrame(0, 60.0, 130.0, "G.729A+VAD")]
+        recovered = _recover_fec(voice, parity, group_size=4)
         assert recovered[0].arrival_ms == 200.0  # last surviving piece
+        # ... and the parity when it is the last piece to arrive.
+        parity = [ReceivedFrame(0, 60.0, 260.0, "G.729A+VAD")]
+        assert _recover_fec(voice, parity, group_size=4)[0].arrival_ms == 260.0
 
     def test_lost_parity_recovers_nothing(self):
-        from repro.voip.stream import apply_fec_recovery, PacketArrival
-
-        voice = [PacketArrival(0, 0.0, None), PacketArrival(1, 20.0, 60.0)]
-        parity = [PacketArrival(0, 20.0, None)]
-        recovered = apply_fec_recovery(voice, parity, group_size=2)
+        voice = [
+            ReceivedFrame(0, 0.0, None, "G.729A+VAD"),
+            ReceivedFrame(1, 20.0, 60.0, "G.729A+VAD"),
+        ]
+        parity = [ReceivedFrame(0, 20.0, None, "G.729A+VAD")]
+        recovered = _recover_fec(voice, parity, group_size=2)
         assert recovered[0].lost
 
     def test_parity_count_validated(self):
-        from repro.voip.stream import apply_fec_recovery
-
         voice = self._voice(loss=0.0, duration=1000.0)
         with pytest.raises(ConfigurationError):
-            apply_fec_recovery(voice, [], group_size=4)
-        with pytest.raises(ConfigurationError):
-            apply_fec_recovery(voice, voice, group_size=1)
+            _recover_fec(voice, [], group_size=4)
 
     def test_fec_improves_playout_mos(self):
-        from repro.voip.stream import apply_fec_recovery
-
         voice = self._voice(loss=0.08, duration=30_000.0)
-        parity = self._parity(voice, loss=0.08)
-        recovered = apply_fec_recovery(voice, parity, group_size=4)
-        plain = score_playout(PlayoutBuffer(60.0).play(voice))
-        fec = score_playout(PlayoutBuffer(60.0).play(recovered))
-        assert fec > plain
+        recovered = _recover_fec(voice, self._parity(voice, loss=0.08), group_size=4)
+        assert score_trace(_trace(recovered)).mos > score_trace(_trace(voice)).mos
 
 
 class TestVoiceCallFEC:
